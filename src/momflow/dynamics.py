@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import DEFAULT_TOLERANCE, NATURAL_UNITS, TolerancePolicy, UnitSystem
 from .errors import (
@@ -380,6 +379,8 @@ def classify_fixed_points(field: MomentumField, potential: PotentialField, regio
     reported as (x, |F(x)|); a genuine fixed point has both p = 0 and a
     vanishing force residual.
     """
+    from scipy.optimize import brentq
+
     if field.dimension != 1:
         raise ValueError("fixed-point scans are defined for 1-D fields")
     lo, hi = float(region[0]), float(region[1])

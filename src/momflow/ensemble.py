@@ -215,11 +215,19 @@ def evolve_ensemble(field: MomentumField, potential: PotentialField, spec: Ensem
 
     term_time = np.full(n, np.nan)
     term_reason = np.full(n, COMPLETED, dtype=np.int8)
-    snap_times = [0.0]
-    snap_states = [states.copy()]
+
+    # Stage arguments and sums live in buffers owned here, sliced to the
+    # live count on the gather path.  Field outputs are only ever read.
+    arg_buf = np.empty_like(states)
+    acc_buf = np.empty_like(states)
 
     def rhs(pts):
-        return field._value_at(pts, check=False) * inv_m
+        p = field._value_at(pts, check=False)
+        if inv_m != 1.0:
+            return p * inv_m
+        # a field that hands back (a view of) its argument would see the
+        # next stage overwrite it
+        return p.copy() if np.may_share_memory(p, pts) else p
 
     def retire(indices, t, reason):
         term_time[indices] = t
@@ -241,7 +249,10 @@ def evolve_ensemble(field: MomentumField, potential: PotentialField, spec: Ensem
         k1 = rhs(pts)
         dist = field.pole_distances(pts)
         speed = np.abs(k1).sum(axis=1)  # 1-norm bounds the flow speed
-        bad = (dist < 2.0 * guard) | (speed * h > 0.5 * dist)
+        speed *= h
+        bad = dist < 2.0 * guard
+        dist *= 0.5
+        bad |= speed > dist
         if bad.any():
             bad_idx = np.flatnonzero(bad) if idx is None else idx[bad]
             retire(bad_idx, t, NEAR_NODE)
@@ -265,12 +276,27 @@ def evolve_ensemble(field: MomentumField, potential: PotentialField, spec: Ensem
         active = idx
         return idx, proposal[ok]
 
+    def commit(idx, acc, t):
+        """Scrub the proposal in ``acc`` and make it the members' new state."""
+        nonlocal states, acc_buf
+        idx, new = scrub(idx, acc, t)
+        if idx is None:
+            states, acc_buf = acc_buf, states
+        else:
+            states[idx] = new
+
     start = time.perf_counter()
     steps_taken = 0
 
     if cfg.scheme == "rk4":
         n_steps = max(1, math.ceil(cfg.t_end / cfg.dt - 1e-12))
         snap_every = max(1, n_steps // (spec.snapshots - 1))
+        n_snaps = 1 + n_steps // snap_every + (n_steps % snap_every > 0)
+        times = np.empty(n_snaps)
+        positions = np.empty((n_snaps,) + states.shape, dtype=complex)
+        times[0] = 0.0
+        positions[0] = states
+        snap = 1
         t = 0.0
         for i in range(n_steps):
             t_next = min(cfg.t_end, (i + 1) * cfg.dt)
@@ -278,25 +304,49 @@ def evolve_ensemble(field: MomentumField, potential: PotentialField, spec: Ensem
             if active is None or active.size:
                 pts, k1, idx = pre_guard(t, h)
                 if idx is None or idx.size:
-                    k2 = rhs(pts + (0.5 * h) * k1)
-                    k3 = rhs(pts + (0.5 * h) * k2)
-                    k4 = rhs(pts + h * k3)
-                    new = pts + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                    idx, new = scrub(idx, new, t)
-                    if idx is None:
-                        states = new
-                    else:
-                        states[idx] = new
+                    m = pts.shape[0]
+                    arg, acc = arg_buf[:m], acc_buf[:m]
+                    np.multiply(k1, 0.5 * h, out=arg)
+                    arg += pts
+                    k2 = rhs(arg)
+                    np.multiply(k2, 0.5 * h, out=arg)
+                    arg += pts
+                    k3 = rhs(arg)
+                    np.multiply(k3, h, out=arg)
+                    arg += pts
+                    k4 = rhs(arg)
+                    # pts + (h/6) * (k1 + 2 k2 + 2 k3 + k4), summed in that order
+                    np.multiply(k2, 2.0, out=acc)
+                    acc += k1
+                    np.multiply(k3, 2.0, out=arg)
+                    acc += arg
+                    acc += k4
+                    acc *= h / 6.0
+                    acc += pts
+                    commit(idx, acc, t)
             t = t_next
             steps_taken += 1
             if i % snap_every == snap_every - 1 or i == n_steps - 1:
-                snap_times.append(t)
-                snap_states.append(states.copy())
+                times[snap] = t
+                positions[snap] = states
+                snap += 1
     else:
         from .dynamics import _RKF_A, _RKF_B4, _RKF_ERR
 
+        abs_err = np.empty(states.shape)
+        scale_buf = np.empty(states.shape)
+
+        def weighted_sum(out, tmp, coeffs, ks):
+            """out = 0 + c0*k0 + c1*k1 + ..., the order Python's sum uses."""
+            out.fill(0.0)
+            for c, k in zip(coeffs, ks):
+                np.multiply(k, c, out=tmp)
+                out += tmp
+
         t = 0.0
         h = min(cfg.dt, cfg.dt_max, cfg.t_end)
+        snap_times = [0.0]
+        snap_states = [states.copy()]
         accepted_t = []
         accepted_s = []
         while t < cfg.t_end - 1e-15:
@@ -309,22 +359,28 @@ def evolve_ensemble(field: MomentumField, potential: PotentialField, spec: Ensem
             pts, k1, idx = pre_guard(t, h)
             if idx is not None and not idx.size:
                 continue
+            m = pts.shape[0]
+            arg, acc = arg_buf[:m], acc_buf[:m]
             ks = [k1]
             for stage in range(1, 6):
-                acc = pts.copy()
+                # pts + (h a_0) k_0 + (h a_1) k_1 + ..., accumulated in arg
                 for j, a in enumerate(_RKF_A[stage]):
-                    acc = acc + h * a * ks[j]
-                ks.append(rhs(acc))
-            err = h * sum(c * k for c, k in zip(_RKF_ERR, ks))
-            scale = cfg.abs_tol + cfg.rel_tol * np.abs(pts)
-            ratio = float(np.max(np.abs(err) / scale))
+                    np.multiply(ks[j], h * a, out=acc)
+                    np.add(arg if j else pts, acc, out=arg)
+                ks.append(rhs(arg))
+            weighted_sum(acc, arg, _RKF_ERR, ks)
+            acc *= h
+            scale = np.abs(pts, out=scale_buf[:m])
+            scale *= cfg.rel_tol
+            scale += cfg.abs_tol
+            err = np.abs(acc, out=abs_err[:m])
+            err /= scale
+            ratio = float(np.max(err))
             if ratio <= 1.0:
-                new = pts + h * sum(b * k for b, k in zip(_RKF_B4, ks))
-                idx, new = scrub(idx, new, t)
-                if idx is None:
-                    states = new
-                else:
-                    states[idx] = new
+                weighted_sum(acc, arg, _RKF_B4, ks)
+                acc *= h
+                acc += pts
+                commit(idx, acc, t)
                 t += h
                 steps_taken += 1
                 accepted_t.append(t)
@@ -338,10 +394,10 @@ def evolve_ensemble(field: MomentumField, potential: PotentialField, spec: Ensem
             if j % stride == stride - 1 or j == len(accepted_t) - 1:
                 snap_times.append(accepted_t[j])
                 snap_states.append(accepted_s[j])
+        times = np.asarray(snap_times)
+        positions = np.stack(snap_states)
 
     wall = time.perf_counter() - start
-    times = np.asarray(snap_times)
-    positions = np.stack(snap_states)
 
     energies = None
     if record_energy:

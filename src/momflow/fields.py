@@ -192,8 +192,11 @@ class MomentumField:
         """Distance from each (n, d) point to the nearest pole plane."""
         if not self.poles:
             return np.full(pts.shape[0], np.inf)
-        dists = [np.abs(pts[:, axis] - loc) for axis, loc in self.poles]
-        return np.min(dists, axis=0)
+        (axis, loc), *rest = self.poles
+        dist = np.abs(pts[:, axis] - loc)
+        for axis, loc in rest:
+            np.minimum(dist, np.abs(pts[:, axis] - loc), out=dist)
+        return dist
 
     def pole_distance(self, r):
         pts, kind = _as_points(r, self.dimension)
@@ -296,13 +299,37 @@ def _hermite(n, z):
     return h
 
 
-def _hermite_pair(n, z):
-    """(H_{n-1}, H_n) from one recurrence pass; n >= 1."""
-    h_prev = np.ones_like(z)
-    h = 2.0 * z
+def _ratio_recurrence(n, two_z):
+    r = np.reciprocal(two_z)
     for k in range(1, n):
-        h, h_prev = 2.0 * z * h - 2.0 * k * h_prev, h
-    return h_prev, h
+        r *= -2.0 * k
+        r += two_z
+        np.reciprocal(r, out=r)
+    return r
+
+
+def _hermite_ratio(n, two_z):
+    """H_{n-1}(z)/H_n(z) for n >= 1, given 2z.
+
+    Uses r_1 = 1/(2z), r_{k+1} = 1/(2z - 2k r_k), which never forms H_n
+    and so cannot overflow for large |z|.
+    """
+    if n == 1:  # no partial ratios; z = 0 is the field's own pole
+        return np.reciprocal(two_z)
+    try:
+        with np.errstate(divide="raise", invalid="raise"):
+            return _ratio_recurrence(n, two_z)
+    except FloatingPointError:
+        pass
+    # Some partial ratio divided by an exact zero of an H_k with k < n
+    # (z = 0 for even n, or a rounded root), where the Hermite values
+    # themselves are finite; or z is a pole of the field.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = _ratio_recurrence(n, two_z)
+        bad = ~np.isfinite(r)
+        z = 0.5 * two_z[bad]
+        r[bad] = _hermite(n - 1, z) / _hermite(n, z)
+    return r
 
 
 def _hermite_roots(n):
@@ -323,6 +350,7 @@ def qho_field(level: int, units: UnitSystem = NATURAL_UNITS,
               = -i*hbar * (2n sqrt(a) H_{n-1}/H_n - a x)
 
     which for level 1 reduces to p = -i*hbar*(1/x - m*omega*x/hbar).
+    H_{n-1}/H_n comes from a ratio recurrence (``_hermite_ratio``).
     Derivatives are closed-form: the eigenvalue relation supplies
     psi''/psi = a**2 x**2 - (2n+1) a, so with L = psi'/psi
 
@@ -342,18 +370,21 @@ def qho_field(level: int, units: UnitSystem = NATURAL_UNITS,
     sqrt_a = np.sqrt(a)
     hbar = units.hbar
 
-    def log_deriv(x):
+    def log_deriv(x, scale=1.0):  # scale * psi'/psi
         if level == 0:
-            return -a * x
-        lo, hi = _hermite_pair(level, sqrt_a * x)
-        return 2.0 * level * sqrt_a * lo / hi - a * x
+            return (-a * scale) * x
+        two_z = (2.0 * sqrt_a) * x
+        r = _hermite_ratio(level, two_z)
+        r *= (2.0 * level * sqrt_a) * scale
+        np.multiply(x, a * scale, out=two_z)
+        r -= two_z
+        return r
 
     def curvature(x):  # psi''/psi
         return a * a * x * x - (2 * level + 1) * a
 
     def value(pts):
-        x = pts[:, 0]
-        return (-1j * hbar * log_deriv(x))[:, None]
+        return log_deriv(pts[:, 0], -1j * hbar)[:, None]
 
     def jacobian(pts):
         x = pts[:, 0]

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .core import DEFAULT_TOLERANCE, NATURAL_UNITS, TolerancePolicy, UnitSystem
 from .errors import ConvergenceFailure
@@ -70,6 +69,8 @@ def solve_schrodinger_1d(potential, grid: Grid1D, n_states: int,
     be real-valued on the grid.  ``n_states`` may not exceed a quarter
     of the grid size (higher states are not resolved).
     """
+    from scipy.linalg import eigh_tridiagonal
+
     if n_states < 1 or n_states > grid.points // 4:
         raise ValueError("n_states must be between 1 and points/4")
     xs = grid.xs

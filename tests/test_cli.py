@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import momflow
 from momflow.cli import ConfigError, config_from_dict, load_config, main
 
 
@@ -276,3 +281,15 @@ def test_run_error_paths_still_write_summary(tmp_path):
     summary = read_summary(out)
     assert summary["status"] == "error"
     assert "RegionOverlapsSingularity" in summary["error"]
+
+
+def test_cli_import_leaves_scipy_solvers_unloaded():
+    # scipy.optimize alone costs ~0.6 s of start-up; only the scenarios
+    # that need a solver import one.
+    src = str(Path(momflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, momflow.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

@@ -5,7 +5,9 @@ from momflow import (
     DensityHistogram,
     EnsembleSpec,
     IntegratorConfig,
+    MomentumField,
     SeedSpec,
+    UnitSystem,
     compare_density_to_born,
     density_histogram,
     draw_measurement,
@@ -109,6 +111,78 @@ def test_merging_disjoint_streams_equals_one_ensemble():
     first = sample_initial(make_spec(count=200))
     second = sample_initial(make_spec(count=100, first_stream=200))
     assert np.array_equal(whole, np.vstack([first, second]))
+
+
+def test_merging_disjoint_rk4_shards_equals_one_ensemble():
+    # Level 2, node at 0.707: some members retire at the first step, some
+    # near t = 1.25, in both shards, so the gather path runs in each.
+    field = qho_field(2)
+
+    def run(count, first_stream=0):
+        spec = EnsembleSpec(count=count, region=(0.75, 2.0),
+                            distribution=uniform_distribution(), seed=SeedSpec(11),
+                            integrator=IntegratorConfig(t_end=2.0, dt=1e-2),
+                            first_stream=first_stream, snapshots=21)
+        return evolve_ensemble(field, POT, spec)
+
+    whole, first, second = run(300), run(200), run(100, first_stream=200)
+    for part in (first, second):
+        retired = part.termination_time[~part.completed]
+        assert np.any(retired == 0.0) and np.any(retired > 1.0)
+    assert np.array_equal(whole.times, first.times)
+    assert np.array_equal(whole.times, second.times)
+    assert np.array_equal(whole.positions, np.concatenate([first.positions, second.positions], axis=1))
+    assert np.array_equal(whole.termination_time,
+                          np.concatenate([first.termination_time, second.termination_time]),
+                          equal_nan=True)
+    assert np.array_equal(whole.termination_reason,
+                          np.concatenate([first.termination_reason, second.termination_reason]))
+
+
+def read_only_counting_field(inner, sizes):
+    """``inner`` with read-only value arrays, recording each value call's size."""
+    def value(pts):
+        sizes.append(pts.shape[0])
+        out = inner._value_at(pts, check=False)
+        out.setflags(write=False)
+        return out
+
+    return MomentumField(1, value, poles=inner.poles, holomorphic=True)
+
+
+@pytest.mark.parametrize("mass", [1.0, 2.0])
+def test_rk4_stepper_only_reads_field_outputs(mass):
+    sizes = []
+    field = read_only_counting_field(FIELD, sizes)
+    spec = make_spec(count=50, t_end=0.2, dt=1e-2)
+    result = evolve_ensemble(field, POT, spec, units=UnitSystem(mass=mass), record_energy=False)
+    assert result.completion_fraction == 1.0
+    assert result.steps == 20
+    assert sizes == [50] * (4 * result.steps)
+
+
+def test_rkf45_stepper_makes_six_calls_per_attempt():
+    sizes = []
+    field = read_only_counting_field(FIELD, sizes)
+    spec = make_spec(count=50, t_end=1.0, scheme="rkf45")
+    result = evolve_ensemble(field, POT, spec, record_energy=False)
+    assert result.completion_fraction == 1.0
+    assert sizes == [50] * len(sizes)
+    assert len(sizes) % 6 == 0 and len(sizes) // 6 >= result.steps
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "rkf45"])
+def test_stepper_survives_a_field_returning_its_argument(scheme):
+    # p = x, so dx/dt = x: a value function may hand back its input array,
+    # which the stepper's stage buffers must not then overwrite.
+    aliasing = MomentumField(1, lambda pts: pts, holomorphic=True)
+    copying = MomentumField(1, lambda pts: pts.copy(), holomorphic=True)
+    spec = make_spec(count=20, t_end=0.5, dt=1e-2, scheme=scheme)
+    a = evolve_ensemble(aliasing, POT, spec, record_energy=False)
+    b = evolve_ensemble(copying, POT, spec, record_energy=False)
+    assert np.array_equal(a.positions, b.positions)
+    x0 = sample_initial(spec)[:, 0]
+    assert np.max(np.abs(a.positions[-1, :, 0] - x0 * np.exp(a.times[-1]))) < 1e-6
 
 
 def test_aggregates_ignore_member_order():

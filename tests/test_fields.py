@@ -92,6 +92,71 @@ def test_numeric_field_refuses_complex_positions():
         numeric.value(np.array([1.0 + 0.5j]))
 
 
+# Sympy oracle for the closed-form oscillator fields.  p, p' and p'' are
+# derived symbolically from psi_n = H_n(sqrt(a) x) exp(-a x**2/2) and
+# evaluated at 40 digits.  Off-axis points are included because the
+# ensemble evolves in the complex plane.  The bound is relative to |p^(k)|,
+# with a floor of hbar*a**((k+1)/2), the natural size of p^(k), where
+# p^(k) itself vanishes (p'' of level 0).  Observed errors stay below
+# 3e-14, so 1e-12 leaves a margin for other platforms' libm.
+ORACLE_REL_TOL = 1e-12
+ORACLE_POINTS = np.array([0.37, 1.9, -2.6, 3.3, 0.8 + 0.45j, -1.3 + 0.9j,
+                          2.2 - 0.6j, 0.05 + 1.5j, -0.6 - 2.1j])
+ORACLE_UNITS = (UnitSystem(), UnitSystem(hbar=2.0, mass=0.5, omega=3.0),
+                UnitSystem(hbar=0.7, mass=1.3, omega=0.4))
+
+
+@pytest.mark.parametrize("level", range(11))
+def test_qho_field_matches_sympy_oracle(level):
+    sp = pytest.importorskip("sympy")
+    mp = pytest.importorskip("mpmath")
+    x, a, hbar = sp.symbols("x"), *sp.symbols("a hbar", positive=True)
+    psi = sp.hermite(level, sp.sqrt(a) * x) * sp.exp(-a * x ** 2 / 2)
+    p = -sp.I * hbar * sp.diff(psi, x) / psi
+    exact = [sp.lambdify((x, a, hbar), sp.diff(p, x, k), "mpmath") for k in range(3)]
+    for units in ORACLE_UNITS:
+        field = qho_field(level, units)
+        a_num = units.mass * units.omega / units.hbar
+        pts = (ORACLE_POINTS * units.characteristic_length).reshape(-1, 1)
+        got = (field._value_at(pts)[:, 0], field._jacobian_at(pts)[:, 0, 0],
+               field._laplacian_at(pts)[:, 0])
+        for k in range(3):
+            floor = units.hbar * a_num ** ((k + 1) / 2)
+            with mp.workdps(40):
+                ref = np.array([complex(exact[k](mp.mpc(z.real, z.imag), mp.mpf(a_num),
+                                                 mp.mpf(units.hbar)))
+                                for z in pts[:, 0]])
+            err = np.abs(got[k] - ref) / np.maximum(np.abs(ref), floor)
+            assert err.max() <= ORACLE_REL_TOL, (units, k, err.max())
+
+
+def test_qho_field_is_finite_far_from_the_origin():
+    # Hermite values overflow at |x| = 1e40 (H_10 ~ (2x)**10); the ratio
+    # recurrence never forms them.  There p ~ i*hbar*a*x.
+    field = qho_field(10)
+    xs = np.array([1e40, -1e40, 1e40 * (0.6 + 0.8j)])
+    p = field.value(xs)
+    assert np.all(np.isfinite(p))
+    assert np.all(np.abs(p - 1j * xs) <= 1e-12 * np.abs(xs))
+    assert np.all(np.isfinite(field.jacobian(xs)))
+    assert np.all(np.isfinite(field.vector_laplacian(xs)))
+
+
+@pytest.mark.parametrize("level", [2, 6, 9, 10])
+def test_qho_field_at_zeros_of_lower_hermite_polynomials(level):
+    # At x = 0 (even levels) and at rounded roots of H_k with k < n, a
+    # partial ratio of the recurrence divides by an exact zero.
+    xs = [0.0] if level % 2 == 0 else []
+    for k in range(1, level):
+        xs.extend(np.polynomial.hermite.hermroots(np.eye(k + 1)[k]))
+    xs = np.array([x for x in xs if x != 0.0 or level % 2 == 0])
+    coeffs = np.eye(level + 1)
+    expected = -1j * (2.0 * level * np.polynomial.hermite.hermval(xs, coeffs[level - 1])
+                      / np.polynomial.hermite.hermval(xs, coeffs[level]) - xs)
+    p = qho_field(level)._value_at(xs.astype(complex).reshape(-1, 1), check=False)[:, 0]
+    assert np.all(np.abs(p - expected) <= 1e-12 * np.maximum(np.abs(expected), 1.0))
+
+
 def test_closed_form_derivatives_match_numeric_twin():
     closed = qho_field(1)
     twin = MomentumField(1, closed._value_fn, poles=closed.poles, holomorphic=True)
