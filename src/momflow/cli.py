@@ -192,10 +192,13 @@ def _build_potential(block, units, where):
 def _integrator(block, where, default_t_end=None):
     t_end = _expect(block, "t_end", float, where,
                     default=default_t_end, required=default_t_end is None)
-    return IntegratorConfig(
-        t_end=t_end,
-        scheme=_expect(block, "scheme", str, where, default="rk4"),
-        dt=_expect(block, "dt", float, where, default=1e-3))
+    try:
+        return IntegratorConfig(
+            t_end=t_end,
+            scheme=_expect(block, "scheme", str, where, default="rk4"),
+            dt=_expect(block, "dt", float, where, default=1e-3))
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 # -- scenario runners -----------------------------------------------------------
@@ -233,6 +236,7 @@ def _run_evolve(cfg: RunConfig, out: Path) -> tuple[int, dict]:
                                  cfg.units, "evolve.potential")
     x0 = _complex_from(p.get("x0", 1.0), "evolve.x0")
     config = _integrator(p, "evolve")
+    drift_tol = _expect(p, "max_displacement_tol", float, "evolve")
     halt = None
     try:
         traj = evolve(field, potential, x0, config, cfg.units)
@@ -251,8 +255,7 @@ def _run_evolve(cfg: RunConfig, out: Path) -> tuple[int, dict]:
         "halt": halt,
     }
     status = _EXIT_OK
-    drift_tol = p.get("max_displacement_tol")
-    if drift_tol is not None and displacement.max() > float(drift_tol):
+    if drift_tol is not None and displacement.max() > drift_tol:
         status = _EXIT_INVARIANT
         summary["violated"] = "max_displacement_tol"
     if "csv" in cfg.formats:

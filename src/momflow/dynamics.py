@@ -1,7 +1,6 @@
 """Trajectory evolution along momentum fields.
 
-The primary evolution mode slaves the momentum to the field and
-integrates the flow rule
+Evolution slaves the momentum to the field and integrates the flow rule
 
     dr/dt = p(r)/m.
 
@@ -9,12 +8,15 @@ For a stationary field this flow satisfies the force relation
 dp/dt = -grad U + i*(hbar/2m)*lap p identically; the module exposes the
 residual between the convective derivative (p/m . grad) p and the force
 as a consistency check rather than integrating the force law a second
-time.  A "forced" mode that co-integrates (r, p) from the force law
-directly is provided for experimentation.
+time.
 
-Trajectories are integrated in the complex plane: even a real starting
-point generally leaves the real axis.  Steps that approach a field pole
-are refused; the integrator halts with the partial trajectory attached
+One stepper, ``_integrate``, carries a batch of independent members onto
+a list of sample times with RK4 or with RKF45 under per-member step
+control.  A single trajectory (``evolve``) is a batch of one; ensembles
+(``momflow.ensemble``) use the same stepper.  Trajectories are integrated
+in the complex plane: even a real starting point generally leaves the
+real axis.  Steps that approach a field pole are refused; the member
+retires, and a single trajectory halts with the partial result attached
 to the raised error.
 """
 
@@ -29,7 +31,6 @@ from .core import DEFAULT_TOLERANCE, NATURAL_UNITS, TolerancePolicy, UnitSystem
 from .errors import (
     BranchAmbiguity,
     EmptyRegion,
-    NodeEvaluation,
     StepUnderflow,
     TrajectoryNearSingularity,
 )
@@ -98,9 +99,9 @@ class Trajectory:
 class IntegratorConfig:
     """Scheme selection and step control.
 
-    ``rk4`` uses the fixed step ``dt``.  ``rkf45`` adapts the step from
-    the embedded 4(5) error estimate against ``abs_tol``/``rel_tol``,
-    keeping it within [dt_min, dt_max].
+    ``rk4`` uses steps no longer than ``dt``.  ``rkf45`` adapts each
+    member's step from its embedded 4(5) error estimate against
+    ``abs_tol``/``rel_tol``, keeping it within [dt_min, dt_max].
     """
 
     t_end: float
@@ -152,9 +153,15 @@ def stationarity_residual(field: MomentumField, potential: PotentialField, r,
 
 # -- integration ---------------------------------------------------------------
 
-# Fehlberg 4(5) tableau: stage times, stage coefficients, 4th-order
-# propagation weights, and the per-stage error coefficients.
-_RKF_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
+# Member outcomes, indexed into REASON_LABELS.
+COMPLETED = 0
+NEAR_NODE = 1
+STEP_UNDERFLOW = 2
+REASON_LABELS = ("completed", "near-node", "step-underflow")
+
+# Fehlberg 4(5) tableau: stage coefficients, then (stage, weight) pairs of
+# the 4th-order propagation weights and of the error coefficients, with
+# their exactly-zero entries (k2 in both, k6 in the weights) left out.
 _RKF_A = (
     (),
     (1 / 4,),
@@ -163,8 +170,8 @@ _RKF_A = (
     (439 / 216, -8.0, 3680 / 513, -845 / 4104),
     (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
 )
-_RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
-_RKF_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
+_RKF_B4 = ((0, 25 / 216), (2, 1408 / 2565), (3, 2197 / 4104), (4, -1 / 5))
+_RKF_ERR = ((0, 1 / 360), (2, -128 / 4275), (3, -2197 / 75240), (4, 1 / 50), (5, 2 / 55))
 
 
 def _as_state(x0, dimension):
@@ -176,140 +183,248 @@ def _as_state(x0, dimension):
     return arr
 
 
-class _Halt(Exception):
-    def __init__(self, reason):
-        self.reason = reason
+def _rk4_schedule(times, dt):
+    """(t, h, t_next, k) for each RK4 step over the sample ``times``.
+
+    Consecutive sample times are joined by the fewest equal steps no
+    longer than ``dt``; k > 0 marks the step that lands on times[k].
+    """
+    for k in range(1, len(times)):
+        t0, t1 = times[k - 1], times[k]
+        count = max(1, math.ceil((t1 - t0) / dt * (1.0 - 1e-12)))
+        h = (t1 - t0) / count
+        for j in range(count):
+            last = j == count - 1
+            yield t0 + j * h, h, t1 if last else t0 + (j + 1) * h, k if last else 0
 
 
-def _partial_trajectory(times, positions, momenta, scheme, steps, metadata):
-    return Trajectory(times, np.array(positions), np.array(momenta), scheme,
-                      step_sizes=steps, metadata=metadata)
+def _integrate(field: MomentumField, x0, config: IntegratorConfig, times,
+               units: UnitSystem, land=None, accepted=None):
+    """Step each row of the (n, d) array ``x0`` along dr/dt = p(r)/m.
+
+    Every row is a member that starts at times[0] and is carried onto each
+    later sample time.  ``rk4`` moves all members in lock-step, with the
+    steps of ``_rk4_schedule``.  ``rkf45`` gives each member its own step
+    size: acceptance, rejection and underflow are decided per member from
+    its own error estimate, and a step that would pass the member's next
+    sample time is clipped to land on it exactly, while the unclipped
+    proposal carries into the next step.  A member's arithmetic therefore
+    never depends on the other rows.
+
+    ``land(k, ids, rows)`` receives the states ``rows`` of members ``ids``
+    as they reach times[k]; ``k`` is an int under rk4 and an array aligned
+    with ``ids`` under rkf45.  ``accepted(t, rows, h)``, if given, is
+    called after every accepted step with the states of the members that
+    took it, their new time and step size (scalars under rk4, arrays under
+    rkf45).
+
+    A member retires as NEAR_NODE when it lies within twice the node guard
+    of a pole, when its next step would move it (by the 1-norm of its
+    velocity) more than half its distance to the pole, or when its update
+    is not finite; it retires as STEP_UNDERFLOW when its rkf45 proposal
+    falls below ``dt_min``.  Returns (last, term_time, term_reason, steps):
+    the state each member ended in, the time it retired (nan if it
+    completed), its outcome code, and the most steps any member accepted.
+    """
+    n = x0.shape[0]
+    inv_m = 1.0 / units.mass
+    node_guard = field.tolerance.node_guard
+    last = np.array(x0, dtype=complex)
+    term_time = np.full(n, np.nan)
+    term_reason = np.full(n, COMPLETED, dtype=np.int8)
+
+    # The working set: the members still stepping and their states, kept
+    # dense so that updates never gather or scatter.  Stage arguments and
+    # sums go to buffers of the same shape; field outputs are only read.
+    ids = np.arange(n)
+    x = last.copy()
+    arg, acc = np.empty_like(x), np.empty_like(x)
+
+    def rhs(pts):
+        p = field._value_at(pts, check=False)
+        if inv_m != 1.0:
+            return p * inv_m
+        # a field that hands back (a view of) its argument would see the
+        # next stage overwrite it
+        return p.copy() if np.may_share_memory(p, pts) else p
+
+    def drop(gone, t=None, reason=None):
+        """Take the rows ``gone`` out of the working set; with a reason, they retire at ``t``."""
+        nonlocal ids, x, arg, acc
+        out = ids[gone]
+        last[out] = x[gone]
+        if reason is not None:
+            term_time[out] = t[gone] if np.ndim(t) else t
+            term_reason[out] = reason
+        keep = ~gone
+        ids, x = ids[keep], x[keep]
+        arg, acc = np.empty_like(x), np.empty_like(x)
+        return keep
+
+    def guarded_k1(t, h):
+        """First-stage slopes, after retiring the rows whose step of ``h`` dives toward a pole."""
+        k1 = rhs(x)
+        # dist < 2 guard, or speed * h > dist / 2, with the 1-norm speed
+        reach = np.abs(k1).sum(axis=1)
+        reach *= 2.0 * h
+        np.maximum(reach, 2.0 * node_guard, out=reach)
+        bad = field.pole_distances(x) < reach
+        if not bad.any():
+            return k1, None
+        keep = drop(bad, t, NEAR_NODE)
+        return k1[keep], keep
+
+    def weighted_sum(out, tmp, terms, ks):
+        (i, c), *rest = terms
+        np.multiply(ks[i], c, out=out)
+        for i, c in rest:
+            np.multiply(ks[i], c, out=tmp)
+            out += tmp
+
+    steps = 0
+    if config.scheme == "rk4":
+        for t, h, t_next, k in _rk4_schedule(times, config.dt):
+            k1, _ = guarded_k1(t, h)
+            if not ids.size:
+                break
+            np.multiply(k1, 0.5 * h, out=arg)
+            arg += x
+            k2 = rhs(arg)
+            np.multiply(k2, 0.5 * h, out=arg)
+            arg += x
+            k3 = rhs(arg)
+            np.multiply(k3, h, out=arg)
+            arg += x
+            k4 = rhs(arg)
+            # x + (h/6) * (k1 + 2 k2 + 2 k3 + k4), summed in that order
+            np.multiply(k2, 2.0, out=acc)
+            acc += k1
+            np.multiply(k3, 2.0, out=arg)
+            acc += arg
+            acc += k4
+            acc *= h / 6.0
+            acc += x
+            flat = acc.view(float)
+            if not np.isfinite(flat).all():
+                finite = np.isfinite(flat.reshape(len(acc), -1)).all(axis=1)
+                new = acc[finite]
+                drop(~finite, t, NEAR_NODE)
+                x[...] = new
+                if not ids.size:
+                    break
+            else:
+                x, acc = acc, x
+            steps += 1
+            if accepted is not None:
+                accepted(t_next, x, h)
+            if k and land is not None:
+                land(k, ids, x)
+    else:
+        clock = np.full(n, times[0])
+        proposals = np.full(n, min(config.dt, config.dt_max))
+        upcoming = np.ones(n, dtype=np.intp)
+        taken = np.zeros(n, dtype=np.intp)
+        while ids.size:
+            proposal = proposals[ids]
+            under = proposal < config.dt_min
+            if under.any():
+                drop(under, clock[ids], STEP_UNDERFLOW)
+                continue
+            t, nxt = clock[ids], upcoming[ids]
+            target = times[nxt]
+            h = np.minimum(proposal, target - t)
+            k1, keep = guarded_k1(t, h)
+            if keep is not None:
+                if not ids.size:
+                    break
+                t, nxt, target = t[keep], nxt[keep], target[keep]
+                proposal, h = proposal[keep], h[keep]
+            hc = h[:, None]
+            hks = [k1 * hc]  # the stage increments h * k
+            for stage in range(1, 6):
+                weighted_sum(arg, acc, enumerate(_RKF_A[stage]), hks)
+                arg += x
+                hks.append(rhs(arg) * hc)
+            weighted_sum(acc, arg, _RKF_ERR, hks)
+            err = np.abs(acc)
+            scale = np.abs(x)
+            scale *= config.rel_tol
+            scale += config.abs_tol
+            err /= scale
+            ratio = err.max(axis=1)
+            ok = ratio <= 1.0  # a non-finite estimate is a rejection
+            weighted_sum(acc, arg, _RKF_B4, hks)
+            acc += x
+            np.copyto(x, acc, where=ok[:, None])
+
+            with np.errstate(divide="ignore"):
+                factor = ratio ** -0.2
+            factor *= 0.9
+            np.fmax(factor, 0.2, out=factor)  # also maps a nan ratio to 0.2
+            np.fmin(factor, 5.0, out=factor)
+            # an accepted step that was clipped lands on its target and
+            # keeps its proposal; t + h of an unclipped one never passes it
+            lands = ok & (proposal >= target - t)
+            proposals[ids] = np.where(lands, proposal, np.minimum(h * factor, config.dt_max))
+            moved = ids[ok]
+            clock[moved] = np.where(lands, target, t + h)[ok]
+            taken[moved] += 1
+            if accepted is not None and moved.size:
+                accepted(clock[moved], x[ok], h[ok])
+            if lands.any():
+                if land is not None:
+                    land(nxt[lands], ids[lands], x[lands])
+                upcoming[ids[lands]] += 1
+                finished = lands & (nxt == len(times) - 1)
+                if finished.any():
+                    drop(finished)
+        steps = int(taken.max())
+    last[ids] = x
+    return last, term_time, term_reason, steps
 
 
 def evolve(field: MomentumField, potential: PotentialField, x0, config: IntegratorConfig,
-           units: UnitSystem = NATURAL_UNITS, mode: str = "field") -> Trajectory:
+           units: UnitSystem = NATURAL_UNITS) -> Trajectory:
     """Evolve a single particle from ``x0`` under the field's flow.
 
-    Mode "field" (the supported default) slaves the momentum to the
-    field and integrates dr = p(r)/m dt; every stored phase point has
-    momentum == field(position) exactly.  Mode "forced" co-integrates
-    (r, p) from dr = p/m dt and dp = F(r) dt, which is equivalent for a
-    stationary field but carries no momentum-slaving guarantee; it is
-    for experimentation only.
+    The particle is a one-member ensemble of the shared stepper.  Every
+    step is kept: rk4 steps on the grid min(k*dt, t_end), rkf45 keeps each
+    accepted step.  Every stored momentum equals field(position) exactly.
 
     A step that would move the particle more than half its distance to
-    the nearest pole, or that lands within twice the node guard, halts
-    the run with TrajectoryNearSingularity carrying the partial result.
+    the nearest pole, or that starts within twice the node guard, halts
+    the run with TrajectoryNearSingularity carrying the partial result;
+    an rkf45 step size below ``dt_min`` halts it with StepUnderflow.
+    ``potential`` is not used: the momentum is slaved to the field.
     """
-    if mode not in ("field", "forced"):
-        raise ValueError(f"unknown evolution mode {mode!r}")
     if not field.holomorphic:
         raise ValueError("trajectory evolution needs a field evaluable at complex positions")
-    d = field.dimension
-    x = _as_state(x0, d)
-    inv_m = 1.0 / units.mass
-    guard = field.tolerance.node_guard
+    start = _as_state(x0, field.dimension).reshape(1, -1)
+    times, positions, steps = [0.0], [start], []
 
-    if mode == "field":
-        def rhs(state):
-            return field._value_at(state.reshape(1, -1), check=False)[0] * inv_m
-
-        def momentum_of(state):
-            return field._value_at(state.reshape(1, -1), check=False)[0]
-
-        def position_of(state):
-            return state
-    else:
-        p0 = field._value_at(x.reshape(1, -1), check=False)[0]
-        x = np.concatenate([x, p0])
-
-        def rhs(state):
-            pos = state[:d].reshape(1, -1)
-            grad_u = potential._gradient_at(pos)[0]
-            lap = field._laplacian_at(pos, check=False)[0]
-            force = -grad_u + 1j * (units.hbar / (2.0 * units.mass)) * lap
-            return np.concatenate([state[d:] * inv_m, force])
-
-        def momentum_of(state):
-            return state[d:]
-
-        def position_of(state):
-            return state[:d]
-
-    times = [0.0]
-    positions = [position_of(x).copy()]
-    momenta = [momentum_of(x).copy()]
-    steps = []
-    metadata = {"mode": mode, "dt": config.dt, "scheme": config.scheme}
-
-    def guarded_rhs(state, h):
-        """First-stage slope, refusing steps that dive toward a pole."""
-        pos = position_of(state)
-        dist = float(field.pole_distances(pos.reshape(1, -1))[0])
-        k1 = rhs(state)
-        speed = float(np.linalg.norm(k1[:d]))
-        if dist < 2.0 * guard or speed * h > 0.5 * dist:
-            raise _Halt("approached field singularity")
-        return k1
-
-    def store(t, state, h):
+    def keep(t, rows, h):
         times.append(t)
-        positions.append(position_of(state).copy())
-        momenta.append(momentum_of(state).copy())
+        positions.append(rows.copy())
         steps.append(h)
 
-    def halt(exc_cls, reason):
-        partial = _partial_trajectory(times, positions, momenta, config.scheme,
-                                      steps or None, {**metadata, "halt": reason})
-        raise exc_cls(reason, trajectory=partial, last_point=partial.final)
-
-    try:
-        if config.scheme == "rk4":
-            n_steps = max(1, math.ceil(config.t_end / config.dt - 1e-12))
-            t = 0.0
-            for i in range(n_steps):
-                t_next = min(config.t_end, (i + 1) * config.dt)
-                h = t_next - t
-                k1 = guarded_rhs(x, h)
-                k2 = rhs(x + 0.5 * h * k1)
-                k3 = rhs(x + 0.5 * h * k2)
-                k4 = rhs(x + h * k3)
-                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                t = t_next
-                store(t, x, h)
-        else:
-            t = 0.0
-            h = min(config.dt, config.dt_max, config.t_end)
-            while t < config.t_end - 1e-15:
-                h = min(h, config.t_end - t)
-                if h < config.dt_min:
-                    halt(StepUnderflow, "step size underflow")
-                ks = [guarded_rhs(x, h)]
-                for stage in range(1, 6):
-                    acc = x.copy()
-                    for j, a in enumerate(_RKF_A[stage]):
-                        acc = acc + h * a * ks[j]
-                    ks.append(rhs(acc))
-                err = h * sum(c * k for c, k in zip(_RKF_ERR, ks))
-                scale = config.abs_tol + config.rel_tol * np.abs(x)
-                ratio = float(np.max(np.abs(err) / scale))
-                if ratio <= 1.0:
-                    x = x + h * sum(b * k for b, k in zip(_RKF_B4, ks))
-                    t += h
-                    store(t, x, h)
-                    factor = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
-                else:
-                    factor = max(0.2, 0.9 * ratio ** -0.2)
-                h = min(config.dt_max, h * factor)
-                if h < config.dt_min:
-                    halt(StepUnderflow, "step size underflow")
-    except _Halt as stop:
-        halt(TrajectoryNearSingularity, stop.reason)
-    except NodeEvaluation:
-        halt(TrajectoryNearSingularity, "stage evaluation inside node guard")
-
-    return _partial_trajectory(times, positions, momenta, config.scheme,
-                               steps, metadata)
+    if config.scheme == "rk4":
+        n_steps = max(1, math.ceil(config.t_end / config.dt - 1e-12))
+        grid = np.minimum(np.arange(n_steps + 1) * config.dt, config.t_end)
+    else:
+        grid = np.array([0.0, config.t_end])
+    _, _, reason, _ = _integrate(field, start, config, grid, units, accepted=keep)
+    positions = np.concatenate(positions)
+    metadata = {"dt": config.dt, "scheme": config.scheme}
+    if reason[0] != COMPLETED:
+        metadata["halt"] = ("step size underflow" if reason[0] == STEP_UNDERFLOW
+                            else "approached field singularity")
+    traj = Trajectory(np.hstack(times), positions, field._value_at(positions, check=False),
+                      config.scheme, step_sizes=np.hstack(steps) if steps else None,
+                      metadata=metadata)
+    if reason[0] == COMPLETED:
+        return traj
+    error = StepUnderflow if reason[0] == STEP_UNDERFLOW else TrajectoryNearSingularity
+    raise error(metadata["halt"], trajectory=traj, last_point=traj.final)
 
 
 # -- analytic oscillator solution ------------------------------------------------

@@ -3,9 +3,10 @@
 A single trajectory cannot exhibit everything the underlying state
 encodes; an ensemble of particles started from random initial points
 does.  Members never interact, so the batch is embarrassingly parallel:
-the engine steps all members together with vectorized arithmetic, which
-is simultaneously the fast path and the deterministic one (fixed
-evaluation and reduction order, so results never depend on scheduling).
+the stepper shared with ``dynamics.evolve`` advances all members together
+with vectorized arithmetic, which is simultaneously the fast path and the
+deterministic one (fixed evaluation and reduction order, and step sizes
+controlled per member, so results never depend on scheduling).
 
 Initial points are drawn on the real axis from per-member substreams
 derived with ``mix_seed``; identical specs reproduce bit-identical
@@ -15,14 +16,13 @@ project Re(x) and disclose the off-axis mass instead of hiding it.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .core import DEFAULT_TOLERANCE, NATURAL_UNITS, SeedSpec, TolerancePolicy, UnitSystem, substream_rng
-from .dynamics import IntegratorConfig
+from .dynamics import COMPLETED, REASON_LABELS, IntegratorConfig, _integrate
 from .errors import RegionOverlapsSingularity, TimeOutOfRange, ZeroMass
 from .fields import MomentumField, PotentialField, _GL_NODES, _GL_WEIGHTS
 
@@ -40,11 +40,6 @@ __all__ = [
     "compare_density_to_born",
     "draw_measurement",
 ]
-
-COMPLETED = 0
-NEAR_NODE = 1
-STEP_UNDERFLOW = 2
-REASON_LABELS = ("completed", "near-node", "step-underflow")
 
 _OFF_AXIS_CUT = 0.01
 
@@ -78,6 +73,9 @@ class EnsembleSpec:
     intervals.  Gaussian draws are rejection-truncated to the region.
     ``first_stream`` offsets the substream indices so two ensembles with
     disjoint index ranges merge into one larger ensemble exactly.
+    ``snapshots`` is the number of recorded states per member, taken at
+    exactly ``linspace(0, t_end, snapshots)``; RK4 steps and RKF45 step
+    sizes are fitted to land on those times.
     """
 
     count: int
@@ -161,6 +159,8 @@ class EnsembleResult:
     termination_time: np.ndarray      # (count,) nan while running
     termination_reason: np.ndarray    # (count,) codes into REASON_LABELS
     steps: int
+    """Most accepted steps taken by any one member; under rk4 every member
+    that completes takes exactly this many."""
     wall_time: float
     metadata: dict = dataclass_field(default_factory=dict)
 
@@ -196,207 +196,32 @@ def evolve_ensemble(field: MomentumField, potential: PotentialField, spec: Ensem
                     units: UnitSystem = NATURAL_UNITS, record_energy: bool = True) -> EnsembleResult:
     """Evolve every member of ``spec`` and collect snapshots and outcomes.
 
+    Snapshots are taken at exactly ``linspace(0, t_end, snapshots)``.
     Member failures (diving toward a node, adaptive-step underflow) are
-    recorded as per-member outcomes; the batch itself never aborts.  The
-    integration is vectorized over members with a shared time grid: the
-    rk4 scheme uses the fixed step, rkf45 adapts one shared step from
-    the worst member error, so a given spec always reproduces the same
-    arithmetic regardless of parallel scheduling.
+    recorded as per-member outcomes, and a retired member keeps its last
+    state in every later snapshot; the batch itself never aborts.  The
+    members are stepped together with vectorized arithmetic, but each
+    member's steps depend on its own state only (rkf45 controls its step
+    size per member), so results do not depend on the batch a member is
+    evolved in.
     """
     d = spec.dimension
     if d != field.dimension:
         raise ValueError("spec and field dimensions disagree")
-    x0 = sample_initial(spec, poles=field.poles, tolerance=field.tolerance)
-    states = x0.astype(complex)
-    n = spec.count
-    cfg = spec.integrator
-    inv_m = 1.0 / units.mass
-    guard = field.tolerance.node_guard
+    times = np.linspace(0.0, spec.integrator.t_end, spec.snapshots)
+    positions = np.empty((spec.snapshots, spec.count, d), dtype=complex)
+    positions[0] = sample_initial(spec, poles=field.poles, tolerance=field.tolerance)
 
-    term_time = np.full(n, np.nan)
-    term_reason = np.full(n, COMPLETED, dtype=np.int8)
-
-    # Stage arguments and sums live in buffers owned here, sliced to the
-    # live count on the gather path.  Field outputs are only ever read.
-    arg_buf = np.empty_like(states)
-    acc_buf = np.empty_like(states)
-
-    def rhs(pts):
-        p = field._value_at(pts, check=False)
-        if inv_m != 1.0:
-            return p * inv_m
-        # a field that hands back (a view of) its argument would see the
-        # next stage overwrite it
-        return p.copy() if np.may_share_memory(p, pts) else p
-
-    def retire(indices, t, reason):
-        term_time[indices] = t
-        term_reason[indices] = reason
-
-    # "None" means every member is still running: the common case skips
-    # the gather/scatter entirely so the batch stays one fused update.
-    active = None
-
-    def pre_guard(t, h):
-        """Drop members whose next step would dive toward a pole.
-
-        Returns (points, k1, indices) for the surviving members; indices
-        is None while nobody has terminated.
-        """
-        nonlocal active
-        idx = active
-        pts = states if idx is None else states[idx]
-        k1 = rhs(pts)
-        dist = field.pole_distances(pts)
-        speed = np.abs(k1).sum(axis=1)  # 1-norm bounds the flow speed
-        speed *= h
-        bad = dist < 2.0 * guard
-        dist *= 0.5
-        bad |= speed > dist
-        if bad.any():
-            bad_idx = np.flatnonzero(bad) if idx is None else idx[bad]
-            retire(bad_idx, t, NEAR_NODE)
-            keep = ~bad
-            idx = np.flatnonzero(keep) if idx is None else idx[keep]
-            active = idx
-            pts = pts[keep]
-            k1 = k1[keep]
-        return pts, k1, idx
-
-    def scrub(idx, proposal, t):
-        """Retire members whose update came back non-finite."""
-        nonlocal active
-        flat = proposal.view(float)
-        if np.isfinite(flat).all():
-            return idx, proposal
-        ok = np.all(np.isfinite(flat.reshape(proposal.shape[0], -1)), axis=1)
-        bad_idx = np.flatnonzero(~ok) if idx is None else idx[~ok]
-        retire(bad_idx, t, NEAR_NODE)
-        idx = np.flatnonzero(ok) if idx is None else idx[ok]
-        active = idx
-        return idx, proposal[ok]
-
-    def commit(idx, acc, t):
-        """Scrub the proposal in ``acc`` and make it the members' new state."""
-        nonlocal states, acc_buf
-        idx, new = scrub(idx, acc, t)
-        if idx is None:
-            states, acc_buf = acc_buf, states
-        else:
-            states[idx] = new
+    def land(k, ids, rows):
+        positions[k, ids] = rows
 
     start = time.perf_counter()
-    steps_taken = 0
-
-    if cfg.scheme == "rk4":
-        n_steps = max(1, math.ceil(cfg.t_end / cfg.dt - 1e-12))
-        snap_every = max(1, n_steps // (spec.snapshots - 1))
-        n_snaps = 1 + n_steps // snap_every + (n_steps % snap_every > 0)
-        times = np.empty(n_snaps)
-        positions = np.empty((n_snaps,) + states.shape, dtype=complex)
-        times[0] = 0.0
-        positions[0] = states
-        snap = 1
-        t = 0.0
-        for i in range(n_steps):
-            t_next = min(cfg.t_end, (i + 1) * cfg.dt)
-            h = t_next - t
-            if active is None or active.size:
-                pts, k1, idx = pre_guard(t, h)
-                if idx is None or idx.size:
-                    m = pts.shape[0]
-                    arg, acc = arg_buf[:m], acc_buf[:m]
-                    np.multiply(k1, 0.5 * h, out=arg)
-                    arg += pts
-                    k2 = rhs(arg)
-                    np.multiply(k2, 0.5 * h, out=arg)
-                    arg += pts
-                    k3 = rhs(arg)
-                    np.multiply(k3, h, out=arg)
-                    arg += pts
-                    k4 = rhs(arg)
-                    # pts + (h/6) * (k1 + 2 k2 + 2 k3 + k4), summed in that order
-                    np.multiply(k2, 2.0, out=acc)
-                    acc += k1
-                    np.multiply(k3, 2.0, out=arg)
-                    acc += arg
-                    acc += k4
-                    acc *= h / 6.0
-                    acc += pts
-                    commit(idx, acc, t)
-            t = t_next
-            steps_taken += 1
-            if i % snap_every == snap_every - 1 or i == n_steps - 1:
-                times[snap] = t
-                positions[snap] = states
-                snap += 1
-    else:
-        from .dynamics import _RKF_A, _RKF_B4, _RKF_ERR
-
-        abs_err = np.empty(states.shape)
-        scale_buf = np.empty(states.shape)
-
-        def weighted_sum(out, tmp, coeffs, ks):
-            """out = 0 + c0*k0 + c1*k1 + ..., the order Python's sum uses."""
-            out.fill(0.0)
-            for c, k in zip(coeffs, ks):
-                np.multiply(k, c, out=tmp)
-                out += tmp
-
-        t = 0.0
-        h = min(cfg.dt, cfg.dt_max, cfg.t_end)
-        snap_times = [0.0]
-        snap_states = [states.copy()]
-        accepted_t = []
-        accepted_s = []
-        while t < cfg.t_end - 1e-15:
-            h = min(h, cfg.t_end - t)
-            if h < cfg.dt_min:
-                retire(np.flatnonzero(np.isnan(term_time)), t, STEP_UNDERFLOW)
-                break
-            if active is not None and not active.size:
-                break
-            pts, k1, idx = pre_guard(t, h)
-            if idx is not None and not idx.size:
-                continue
-            m = pts.shape[0]
-            arg, acc = arg_buf[:m], acc_buf[:m]
-            ks = [k1]
-            for stage in range(1, 6):
-                # pts + (h a_0) k_0 + (h a_1) k_1 + ..., accumulated in arg
-                for j, a in enumerate(_RKF_A[stage]):
-                    np.multiply(ks[j], h * a, out=acc)
-                    np.add(arg if j else pts, acc, out=arg)
-                ks.append(rhs(arg))
-            weighted_sum(acc, arg, _RKF_ERR, ks)
-            acc *= h
-            scale = np.abs(pts, out=scale_buf[:m])
-            scale *= cfg.rel_tol
-            scale += cfg.abs_tol
-            err = np.abs(acc, out=abs_err[:m])
-            err /= scale
-            ratio = float(np.max(err))
-            if ratio <= 1.0:
-                weighted_sum(acc, arg, _RKF_B4, ks)
-                acc *= h
-                acc += pts
-                commit(idx, acc, t)
-                t += h
-                steps_taken += 1
-                accepted_t.append(t)
-                accepted_s.append(states.copy())
-                factor = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
-            else:
-                factor = max(0.2, 0.9 * ratio ** -0.2)
-            h = min(cfg.dt_max, h * factor)
-        stride = max(1, len(accepted_t) // (spec.snapshots - 1))
-        for j in range(len(accepted_t)):
-            if j % stride == stride - 1 or j == len(accepted_t) - 1:
-                snap_times.append(accepted_t[j])
-                snap_states.append(accepted_s[j])
-        times = np.asarray(snap_times)
-        positions = np.stack(snap_states)
-
+    last, term_time, term_reason, steps_taken = _integrate(
+        field, positions[0], spec.integrator, times, units, land)
+    # a retired member stays where it stopped in every later snapshot
+    gone = np.flatnonzero(~np.isnan(term_time))
+    later, member = np.nonzero(times[:, None] > term_time[gone])
+    positions[later, gone[member]] = last[gone[member]]
     wall = time.perf_counter() - start
 
     energies = None
@@ -414,7 +239,8 @@ def evolve_ensemble(field: MomentumField, potential: PotentialField, spec: Ensem
         spec=spec, times=times, positions=positions, energies=energies,
         termination_time=term_time, termination_reason=term_reason,
         steps=steps_taken, wall_time=wall,
-        metadata={"scheme": cfg.scheme, "dt": cfg.dt, "t_end": cfg.t_end})
+        metadata={"scheme": spec.integrator.scheme, "dt": spec.integrator.dt,
+                  "t_end": spec.integrator.t_end})
 
 
 @dataclass

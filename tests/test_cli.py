@@ -267,6 +267,21 @@ def test_invalid_nested_config_still_writes_summary(tmp_path):
     assert "hydrogen" in summary["error"]
 
 
+@pytest.mark.parametrize("setting", [{"t_end": -1}, {"scheme": "euler"},
+                                     {"max_displacement_tol": "abc"}])
+def test_bad_integrator_settings_are_config_errors(tmp_path, setting):
+    out = tmp_path / "run"
+    path = write_config(tmp_path, {
+        "scenario": "evolve",
+        "out_dir": str(out),
+        "evolve": {"x0": [1.0, 0.0], "dt": 0.01, "t_end": 1.0, **setting},
+    })
+    assert main(["evolve", "--config", str(path)]) == 1
+    summary = read_summary(out)
+    assert summary["status"] == "config-error"
+    assert next(iter(setting)) in summary["error"]
+
+
 def test_run_error_paths_still_write_summary(tmp_path):
     # trajectory dives into the node: run fails but summary must exist
     out = tmp_path / "run"

@@ -159,11 +159,17 @@ def test_energy_constant_along_trajectory():
     assert np.max(np.abs(energies - 1.5)) < 1e-8
 
 
-def test_forced_mode_agrees_with_field_mode_on_stationary_field():
-    config = IntegratorConfig(t_end=0.5, dt=1e-4)
-    a = evolve(FIELD, POT, math.sqrt(2.0), config, mode="field")
-    b = evolve(FIELD, POT, math.sqrt(2.0), config, mode="forced")
-    assert np.max(np.abs(a.x - b.x)) < 1e-6
+def test_rk4_evolve_makes_four_field_calls_per_step():
+    calls = []
+
+    def value(pts):
+        calls.append(pts.shape[0])
+        return FIELD._value_at(pts, check=False)
+
+    field = MomentumField(1, value, poles=FIELD.poles, holomorphic=True)
+    traj = evolve(field, POT, math.sqrt(2.0), IntegratorConfig(t_end=0.1, dt=1e-2))
+    assert len(traj) == 11
+    assert calls == [1] * 40 + [11]  # four per step, then every stored momentum at once
 
 
 def test_trajectory_into_node_halts_with_partial_result():

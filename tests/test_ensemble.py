@@ -19,6 +19,7 @@ from momflow import (
     sample_initial,
     uniform_distribution,
 )
+from momflow.ensemble import REASON_LABELS
 from momflow.errors import RegionOverlapsSingularity, TimeOutOfRange, ZeroMass
 
 FIELD = qho_field(1)
@@ -26,13 +27,13 @@ POT = harmonic_potential()
 
 
 def make_spec(count=200, region=(0.8, 1.2), seed=101, t_end=1.0, dt=1e-3,
-              distribution=None, first_stream=0, scheme="rk4"):
+              distribution=None, first_stream=0, scheme="rk4", snapshots=201):
     return EnsembleSpec(
         count=count, region=region,
         distribution=distribution or uniform_distribution(),
         seed=SeedSpec(seed),
         integrator=IntegratorConfig(t_end=t_end, dt=dt, scheme=scheme),
-        first_stream=first_stream)
+        first_stream=first_stream, snapshots=snapshots)
 
 
 # -- sampling -----------------------------------------------------------------------
@@ -115,7 +116,7 @@ def test_merging_disjoint_streams_equals_one_ensemble():
 
 def test_merging_disjoint_rk4_shards_equals_one_ensemble():
     # Level 2, node at 0.707: some members retire at the first step, some
-    # near t = 1.25, in both shards, so the gather path runs in each.
+    # near t = 1.25, in both shards, so the working set shrinks in each.
     field = qho_field(2)
 
     def run(count, first_stream=0):
@@ -139,6 +140,45 @@ def test_merging_disjoint_rk4_shards_equals_one_ensemble():
                           np.concatenate([first.termination_reason, second.termination_reason]))
 
 
+def test_merging_disjoint_rkf45_shards_equals_one_ensemble():
+    # Each member controls its own step size, so a member's steps do not
+    # depend on its shard.  Some members retire near the node at the first
+    # step, others by step underflow near t = 1.25, with dt_min = 1e-3.
+    field = qho_field(2)
+
+    def run(count, first_stream=0):
+        spec = EnsembleSpec(count=count, region=(0.75, 2.0),
+                            distribution=uniform_distribution(), seed=SeedSpec(11),
+                            integrator=IntegratorConfig(t_end=2.0, dt=1e-2, scheme="rkf45",
+                                                        dt_min=1e-3),
+                            first_stream=first_stream, snapshots=21)
+        return evolve_ensemble(field, POT, spec)
+
+    whole, first, second = run(300), run(200), run(100, first_stream=200)
+    for part in (first, second):
+        assert np.any(part.termination_time == 0.0)
+    assert set(REASON_LABELS[r] for r in whole.termination_reason) == set(REASON_LABELS)
+    assert np.array_equal(whole.times, first.times)
+    assert np.array_equal(whole.times, second.times)
+    assert np.array_equal(whole.positions, np.concatenate([first.positions, second.positions], axis=1))
+    assert np.array_equal(whole.termination_time,
+                          np.concatenate([first.termination_time, second.termination_time]),
+                          equal_nan=True)
+    assert np.array_equal(whole.termination_reason,
+                          np.concatenate([first.termination_reason, second.termination_reason]))
+
+
+@pytest.mark.parametrize("scheme, dt, snapshots", [("rk4", 3e-3, 7), ("rkf45", 1e-3, 201)])
+def test_snapshots_land_exactly_on_the_requested_times(scheme, dt, snapshots):
+    spec = make_spec(count=50, dt=dt, scheme=scheme, snapshots=snapshots)
+    result = evolve_ensemble(FIELD, POT, spec, record_energy=False)
+    assert np.array_equal(result.times, np.linspace(0.0, 1.0, snapshots))
+    assert result.positions.shape == (snapshots, 50, 1)
+    x0 = sample_initial(spec)[:, 0]
+    expected = np.stack([qho_analytic_position(x, result.times) for x in x0], axis=1)
+    assert np.max(np.abs(result.positions[:, :, 0] - expected)) < 1e-6
+
+
 def read_only_counting_field(inner, sizes):
     """``inner`` with read-only value arrays, recording each value call's size."""
     def value(pts):
@@ -154,7 +194,7 @@ def read_only_counting_field(inner, sizes):
 def test_rk4_stepper_only_reads_field_outputs(mass):
     sizes = []
     field = read_only_counting_field(FIELD, sizes)
-    spec = make_spec(count=50, t_end=0.2, dt=1e-2)
+    spec = make_spec(count=50, t_end=0.2, dt=1e-2, snapshots=21)
     result = evolve_ensemble(field, POT, spec, units=UnitSystem(mass=mass), record_energy=False)
     assert result.completion_fraction == 1.0
     assert result.steps == 20
@@ -167,7 +207,7 @@ def test_rkf45_stepper_makes_six_calls_per_attempt():
     spec = make_spec(count=50, t_end=1.0, scheme="rkf45")
     result = evolve_ensemble(field, POT, spec, record_energy=False)
     assert result.completion_fraction == 1.0
-    assert sizes == [50] * len(sizes)
+    assert max(sizes) <= 50
     assert len(sizes) % 6 == 0 and len(sizes) // 6 >= result.steps
 
 
