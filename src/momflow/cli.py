@@ -4,7 +4,9 @@ One JSON config document describes one run; the subcommand names the
 scenario (field-scan, evolve, ensemble, reconstruct, twobody, oracle)
 and must agree with the config's ``scenario`` field when both are
 given.  A few stable flags (--seed, --dt, --t-end, --out, --format,
---svg) override their config counterparts.
+--svg) override their config counterparts; --seed applies only to the
+ensemble scenario, the one that draws random numbers, and is a config
+error elsewhere.
 
 Every run writes a machine-readable ``summary.json`` (even on failure
 paths, except when the config itself cannot be parsed).  Exit codes:
@@ -495,7 +497,7 @@ _RUNNERS = {
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     params = dict(cfg.params)
-    if args.seed is not None:
+    if args.seed is not None and cfg.scenario == "ensemble":
         params["seed"] = args.seed
     if args.dt is not None:
         params["dt"] = args.dt
@@ -508,17 +510,21 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
                      formats=formats, svg=svg, params=params)
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute a validated config; always writes summary.json."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    summary = {
+def _summary_head(cfg: RunConfig) -> dict:
+    return {
         "tool": "momflow",
         "version": __version__,
         "scenario": cfg.scenario,
         "config_hash": cfg.config_hash,
         "status": "ok",
     }
+
+
+def run(cfg: RunConfig) -> int:
+    """Execute a validated config; always writes summary.json."""
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    summary = _summary_head(cfg)
     try:
         code, details = _RUNNERS[cfg.scenario](cfg, out)
         summary.update(details)
@@ -546,7 +552,7 @@ def main(argv=None) -> int:
     for name in SCENARIOS:
         s = sub.add_parser(name, help=f"run the {name} scenario")
         s.add_argument("--config", required=True, help="path to the JSON run config")
-        s.add_argument("--seed", type=int, default=None, help="override the master seed")
+        s.add_argument("--seed", type=int, default=None, help="override the ensemble master seed")
         s.add_argument("--dt", type=float, default=None, help="override the time step")
         s.add_argument("--t-end", dest="t_end", type=float, default=None,
                        help="override the end time")
@@ -574,7 +580,14 @@ def main(argv=None) -> int:
         return _EXIT_CONFIG
 
     cfg = _apply_overrides(cfg, args)
-    code = run(cfg)
+    if args.seed is not None and cfg.scenario != "ensemble":
+        summary = _summary_head(cfg)
+        summary["status"] = "config-error"
+        summary["error"] = f"--seed: the {cfg.scenario} scenario draws no random numbers"
+        reports.write_json(Path(cfg.out_dir) / "summary.json", summary)
+        code = _EXIT_CONFIG
+    else:
+        code = run(cfg)
     summary_path = Path(cfg.out_dir) / "summary.json"
     print(f"scenario {cfg.scenario}: "
           f"{'ok' if code == _EXIT_OK else 'failed'} (summary: {summary_path})")

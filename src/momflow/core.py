@@ -20,6 +20,7 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "mix_seed",
     "substream_rng",
+    "substream_states",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -31,6 +32,17 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+# numpy's SeedSequence hash and PCG64 seeding, which NEP 19 freezes.  The
+# two hash constant sequences advance by fixed multipliers, independent of
+# the data hashed.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_STATE_BATCH = 4096
 
 
 def mix_seed(master: int, index: int) -> int:
@@ -99,9 +111,12 @@ class TolerancePolicy:
 class SeedSpec:
     """Master seed plus the substream derivation rule.
 
-    Rule 0 (the only one defined) derives trajectory ``i``'s stream as
-    ``mix_seed(master_seed, i)``.  Identical specs therefore reproduce
-    bit-identical sampled initial conditions on every platform.
+    Rule 0 (the only one defined) seeds trajectory ``i``'s stream with
+    ``mix_seed(master_seed, i)`` (splitmix64), which numpy's
+    ``SeedSequence`` hashes into a PCG64 state: the stream is
+    ``substream_rng(spec, i)``.  ``substream_states`` derives the same
+    states for a whole batch at once.  Identical specs therefore
+    reproduce bit-identical sampled initial conditions on every platform.
     """
 
     master_seed: int
@@ -120,6 +135,73 @@ class SeedSpec:
 def substream_rng(spec: SeedSpec, index: int) -> np.random.Generator:
     """Independent, reproducible generator for one trajectory index."""
     return np.random.default_rng(spec.stream_seed(index))
+
+
+def substream_states(spec: SeedSpec, first: int, count: int):
+    """Yield the PCG64 ``(state, inc)`` of substreams ``first .. first + count - 1``.
+
+    Entry i equals ``np.random.PCG64(spec.stream_seed(first + i)).state``,
+    so a generator set to it draws exactly what ``substream_rng`` would.
+    States are derived a batch at a time, which bounds the Python ints
+    alive at once.
+    """
+    for start in range(0, count, _STATE_BATCH):
+        yield from zip(*_pcg64_states(spec.master_seed, first + start,
+                                      min(_STATE_BATCH, count - start)))
+
+
+def _pcg64_states(master: int, first: int, count: int):
+    """Rule 0's three stages over ``count`` consecutive indices at once.
+
+    splitmix64 runs on ``uint64`` arrays, numpy's ``SeedSequence`` pool
+    hash and ``generate_state(4, uint64)`` on ``uint32`` arrays (both wrap
+    exactly like the reference), and PCG64's ``srandom`` on Python ints.
+    Returns the states and increments as two object arrays.
+    """
+    gamma = np.uint64(_GAMMA)
+    z = np.uint64((master + (first + 1) * _GAMMA) & _MASK64)
+    z = z + np.arange(count, dtype=np.uint64) * gamma
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+
+    # SeedSequence(seed) hashes the seed's 32-bit words, low first, into a
+    # 4-word pool.  A seed below 2**32 has one word, but hashing an absent
+    # word is hashing 0, so every seed is the same 4 words [lo, hi, 0, 0].
+    hash_const = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _HASH_MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [hashmix(word) for word in
+            (z.astype(np.uint32), (z >> np.uint64(32)).astype(np.uint32), zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R) * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+
+    # generate_state(4, uint64): eight 32-bit words from the cycled pool,
+    # paired little-endian into four 64-bit words.
+    hash_const = _HASH_INIT_B
+    words = []
+    for k in range(8):
+        value = pool[k % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _HASH_MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        words.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    seed0, seed1, seq0, seq1 = (
+        (words[2 * k] | (words[2 * k + 1] << np.uint64(32))).astype(object) for k in range(4))
+
+    # PCG64 srandom: inc = 2 * initseq + 1; state = (inc + initstate) * MULT + inc.
+    inc = ((seq0 << 65) | (seq1 << 1) | 1) & _MASK128
+    state = ((inc + ((seed0 << 64) | seed1)) * _PCG64_MULT + inc) & _MASK128
+    return state, inc
 
 
 NATURAL_UNITS = UnitSystem()

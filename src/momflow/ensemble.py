@@ -8,8 +8,10 @@ with vectorized arithmetic, which is simultaneously the fast path and the
 deterministic one (fixed evaluation and reduction order, and step sizes
 controlled per member, so results never depend on scheduling).
 
-Initial points are drawn on the real axis from per-member substreams
-derived with ``mix_seed``; identical specs reproduce bit-identical
+Initial points are drawn on the real axis from per-member substreams.
+Seed rule 0 is splitmix64 (``mix_seed``), then numpy's ``SeedSequence``,
+then PCG64; the PCG64 states of the whole batch are derived at once and
+numpy makes every draw, so identical specs reproduce bit-identical
 ensembles.  Evolution generally leaves the real axis, so histograms
 project Re(x) and disclose the off-axis mass instead of hiding it.
 """
@@ -21,9 +23,9 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCE, NATURAL_UNITS, SeedSpec, TolerancePolicy, UnitSystem, substream_rng
+from .core import DEFAULT_TOLERANCE, NATURAL_UNITS, SeedSpec, TolerancePolicy, UnitSystem, substream_states
 from .dynamics import COMPLETED, REASON_LABELS, IntegratorConfig, _integrate
-from .errors import RegionOverlapsSingularity, TimeOutOfRange, ZeroMass
+from .errors import EmptyRegion, RegionOverlapsSingularity, TimeOutOfRange, ZeroMass
 from .fields import MomentumField, PotentialField, _GL_NODES, _GL_WEIGHTS
 
 __all__ = [
@@ -121,19 +123,23 @@ def sample_initial(spec: EnsembleSpec, poles=(),
     """Draw the (count, d) real initial positions for ``spec``.
 
     Member i draws from its own substream mix(master_seed, first_stream + i),
-    so samples are independent of ensemble size and of each other.
+    so samples are independent of ensemble size and of each other.  The
+    PCG64 states of all substreams are derived at once; one generator is
+    set to each in turn and numpy makes every draw.
     """
     box = spec.box
     _check_region(box, poles, tolerance.node_guard)
     d = len(box)
     out = np.empty((spec.count, d))
     dist = spec.distribution
-    for i in range(spec.count):
-        rng = substream_rng(spec.seed, spec.first_stream + i)
+    rng = np.random.Generator(np.random.PCG64())
+    stream = {"state": 0, "inc": 0}
+    bit_state = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
+    for i, (state, inc) in enumerate(substream_states(spec.seed, spec.first_stream, spec.count)):
+        stream["state"], stream["inc"] = state, inc
+        rng.bit_generator.state = bit_state
         if dist.kind == "uniform":
-            u = rng.random(d)
-            for k, (lo, hi) in enumerate(box):
-                out[i, k] = lo + (hi - lo) * u[k]
+            rng.random(out=out[i])
         else:
             for k, (lo, hi) in enumerate(box):
                 for _attempt in range(10_000):
@@ -142,9 +148,12 @@ def sample_initial(spec: EnsembleSpec, poles=(),
                         out[i, k] = draw
                         break
                 else:
-                    raise RuntimeError(
-                        "gaussian rejection sampling failed; the region "
-                        "carries almost no probability mass")
+                    raise EmptyRegion(
+                        f"gaussian rejection sampling failed on axis {k}: the interval "
+                        f"({lo}, {hi}) carries almost no probability mass")
+    if dist.kind == "uniform":
+        lo, hi = np.array(box).T
+        out = lo + (hi - lo) * out
     return out
 
 

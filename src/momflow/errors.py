@@ -26,7 +26,8 @@ class PathThroughNode(MomflowError):
 
 
 class EmptyRegion(MomflowError):
-    """Scan region contains no usable sample points."""
+    """Region has nothing to sample: no usable scan points, or no
+    probability mass under an ensemble's sampling distribution."""
 
 
 class ConvergenceFailure(MomflowError):

@@ -174,6 +174,22 @@ def test_ensemble_seed_override_changes_run(tmp_path):
     assert read_summary(out_b)["seed"] == 2
 
 
+def test_seed_flag_is_refused_where_nothing_is_drawn(tmp_path):
+    out = tmp_path / "run"
+    path = write_config(tmp_path, {
+        "scenario": "evolve",
+        "out_dir": str(out),
+        "evolve": {"x0": [1.0, 0.0], "dt": 0.01, "t_end": 0.1},
+    })
+    assert main(["evolve", "--config", str(path)]) == 0
+    config_hash = read_summary(out)["config_hash"]
+    assert main(["evolve", "--config", str(path), "--seed", "5"]) == 1
+    summary = read_summary(out)
+    assert summary["status"] == "config-error"
+    assert "--seed" in summary["error"]
+    assert summary["config_hash"] == config_hash
+
+
 def test_dt_override_reaches_integrator(tmp_path):
     out = tmp_path / "run"
     path = write_config(tmp_path, {
@@ -296,6 +312,21 @@ def test_run_error_paths_still_write_summary(tmp_path):
     summary = read_summary(out)
     assert summary["status"] == "error"
     assert "RegionOverlapsSingularity" in summary["error"]
+
+
+def test_region_without_gaussian_mass_is_a_typed_error(tmp_path):
+    out = tmp_path / "run"
+    path = write_config(tmp_path, {
+        "scenario": "ensemble",
+        "out_dir": str(out),
+        "ensemble": {"count": 10, "region": [5.0, 6.0], "seed": 3,
+                     "distribution": {"kind": "gaussian", "mean": 0.0, "sigma": 0.3},
+                     "dt": 0.001, "t_end": 0.1},
+    })
+    assert main(["ensemble", "--config", str(path)]) == 1
+    summary = read_summary(out)
+    assert summary["status"] == "error"
+    assert "EmptyRegion" in summary["error"]
 
 
 def test_cli_import_leaves_scipy_solvers_unloaded():

@@ -1,8 +1,11 @@
+import random
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
 from momflow import SeedSpec, TolerancePolicy, UnitSystem, mix_seed, substream_rng
+from momflow.core import _STATE_BATCH, substream_states
 
 
 def test_mix_seed_is_deterministic():
@@ -30,6 +33,32 @@ def test_substreams_reproduce_bit_identical_draws():
     assert np.array_equal(a, b)
     c = substream_rng(spec, 4).random(16)
     assert not np.array_equal(a, c)
+
+
+def numpy_states(master, first, count):
+    """Rule 0 by numpy itself: PCG64 seeded from each substream's mix_seed."""
+    return [tuple(np.random.PCG64(mix_seed(master, first + i)).state["state"].values())
+            for i in range(count)]
+
+
+# Master seeds at the 32-bit word boundaries that SeedSequence splits on,
+# and first_stream values including a negative one and one where
+# index + 1 wraps past 2**64.
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
+FIRST_STREAMS = (0, 10**12, -3, 2**64 - 3)
+
+
+@pytest.mark.parametrize("first", FIRST_STREAMS)
+def test_batched_stream_states_equal_numpy_seeding(first):
+    masters = EDGE_SEEDS + tuple(random.Random(first).getrandbits(64) for _ in range(1000))
+    for master in masters:
+        derived = list(substream_states(SeedSpec(master), first, 4))
+        assert derived == numpy_states(master, first, 4), master
+
+
+def test_stream_states_cross_batch_boundaries():
+    count = 2 * _STATE_BATCH + 3
+    assert list(substream_states(SeedSpec(77), 5, count)) == numpy_states(77, 5, count)
 
 
 def test_seed_spec_validation():

@@ -19,6 +19,7 @@ from momflow import (
     sample_initial,
     uniform_distribution,
 )
+from momflow.core import substream_rng
 from momflow.ensemble import REASON_LABELS
 from momflow.errors import RegionOverlapsSingularity, TimeOutOfRange, ZeroMass
 
@@ -56,6 +57,47 @@ def test_gaussian_sample_width():
                      distribution=gaussian_distribution(1.0, 0.2))
     pts = sample_initial(spec)
     assert abs(pts.std() - 0.2) / 0.2 < 0.03
+
+
+def reference_sample(spec):
+    """Per-member sampling with one numpy Generator built per substream."""
+    box = spec.box
+    d = len(box)
+    out = np.empty((spec.count, d))
+    dist = spec.distribution
+    for i in range(spec.count):
+        rng = substream_rng(spec.seed, spec.first_stream + i)
+        if dist.kind == "uniform":
+            u = rng.random(d)
+            for k, (lo, hi) in enumerate(box):
+                out[i, k] = lo + (hi - lo) * u[k]
+        else:
+            for k, (lo, hi) in enumerate(box):
+                for _attempt in range(10_000):
+                    draw = rng.normal(dist.mean, dist.sigma)
+                    if lo <= draw <= hi:
+                        out[i, k] = draw
+                        break
+    return out
+
+
+BOX_3D = ((0.8, 1.2), (-2.0, 3.0), (5.0, 9.0))
+
+
+@pytest.mark.parametrize("count, region, distribution, seed, first_stream", [
+    (1, (0.8, 1.2), None, 0, 0),
+    (1000, (0.8, 1.2), None, 2**64 - 1, 0),
+    (1000, BOX_3D, None, 5, 10**12),
+    (1, (1.25, 3.5), gaussian_distribution(2.0, 0.5), 2**32, 0),
+    (1000, (1.25, 3.5), gaussian_distribution(2.0, 0.5), 2**32 - 1, -7),
+    (1000, BOX_3D, gaussian_distribution(1.0, 2.0), 9, 3),
+    # Accepts ~7% of draws: ~15 normal draws per member.
+    (1000, (1.5, 3.0), gaussian_distribution(0.0, 1.0), 12, 2**64 - 500),
+])
+def test_sampling_equals_per_member_generators(count, region, distribution, seed, first_stream):
+    spec = make_spec(count=count, region=region, distribution=distribution, seed=seed,
+                     first_stream=first_stream)
+    assert sample_initial(spec).tobytes() == reference_sample(spec).tobytes()
 
 
 def test_region_overlapping_a_node_is_rejected():
