@@ -126,6 +126,15 @@ def _expect(block: dict, key: str, kind, where: str, default=None, required=Fals
     raise AssertionError(kind)
 
 
+def _interval(block: dict, where: str, default=None, required=False) -> tuple:
+    """``block["region"]`` as a (lo, hi) pair of floats."""
+    region = _expect(block, "region", list, where, default=default, required=required)
+    if len(region) != 2 or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                                   for v in region):
+        raise ConfigError(f"{where}.region: expected two numbers [lo, hi], got {region!r}")
+    return float(region[0]), float(region[1])
+
+
 def load_config(path) -> RunConfig:
     """Parse and validate a JSON run configuration."""
     text = Path(path).read_text(encoding="utf-8")
@@ -212,9 +221,8 @@ def _run_field_scan(cfg: RunConfig, out: Path) -> tuple[int, dict]:
                          cfg.units, "field_scan.field")
     potential = _build_potential(_expect(p, "potential", dict, "field_scan", default={}),
                                  cfg.units, "field_scan.potential")
-    region = _expect(p, "region", list, "field_scan", default=[0.1, 5.0])
     report = energy_constancy_scan(
-        field, potential, (region[0], region[1]),
+        field, potential, _interval(p, "field_scan", default=[0.1, 5.0]),
         samples=_expect(p, "samples", int, "field_scan", default=1000),
         tol=_expect(p, "tol", float, "field_scan", default=1e-9),
         units=cfg.units)
@@ -278,7 +286,7 @@ def _run_ensemble(cfg: RunConfig, out: Path) -> tuple[int, dict]:
                          cfg.units, "ensemble.field")
     potential = _build_potential(_expect(p, "potential", dict, "ensemble", default={}),
                                  cfg.units, "ensemble.potential")
-    region = _expect(p, "region", list, "ensemble", required=True)
+    region = _interval(p, "ensemble", required=True)
     dist_block = _expect(p, "distribution", dict, "ensemble", default={"kind": "uniform"})
     try:
         dist = Distribution(
@@ -287,7 +295,7 @@ def _run_ensemble(cfg: RunConfig, out: Path) -> tuple[int, dict]:
             sigma=_expect(dist_block, "sigma", float, "ensemble.distribution", default=1.0))
         spec = EnsembleSpec(
             count=_expect(p, "count", int, "ensemble", default=1000),
-            region=(region[0], region[1]),
+            region=region,
             distribution=dist,
             seed=SeedSpec(_expect(p, "seed", int, "ensemble", default=0)),
             integrator=_integrator(p, "ensemble", default_t_end=5.0))

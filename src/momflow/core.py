@@ -21,6 +21,7 @@ __all__ = [
     "mix_seed",
     "substream_rng",
     "substream_states",
+    "substream_uniforms",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -37,14 +38,15 @@ _MIX2 = 0x94D049BB133111EB
 # two hash constant sequences advance by fixed multipliers, independent of
 # the data hashed.
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# PCG64's 128-bit LCG multiplier, as the high and low words it is used in.
+_PCG64_MULT_HALVES = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
 # Members derived per batch: large enough that numpy's per-call cost is
-# ~1% of the work, small enough that the Python ints alive at once stay
-# near a megabyte (a 100k-member batch added ~6 MB of peak RSS).
+# ~1% of the work, small enough that the temporaries and the Python ints
+# ``substream_states`` makes stay near a megabyte (a 100k-member batch of
+# Python ints added ~6 MB of peak RSS).
 _STATE_BATCH = 4096
 
 
@@ -118,7 +120,8 @@ class SeedSpec:
     ``mix_seed(master_seed, i)`` (splitmix64), which numpy's
     ``SeedSequence`` hashes into a PCG64 state: the stream is
     ``substream_rng(spec, i)``.  ``substream_states`` derives the same
-    states for a whole batch at once.  Identical specs therefore
+    states for a whole batch at once, and ``substream_uniforms`` draws
+    the streams' uniform variates from them.  Identical specs therefore
     reproduce bit-identical sampled initial conditions on every platform.
     """
 
@@ -148,17 +151,61 @@ def substream_states(spec: SeedSpec, first: int, count: int):
     would.  States are derived ``_STATE_BATCH`` members at a time.
     """
     for start in range(0, count, _STATE_BATCH):
-        yield from zip(*_pcg64_states(spec.master_seed, first + start,
-                                      min(_STATE_BATCH, count - start)))
+        halves = _pcg64_states(spec.master_seed, first + start, min(_STATE_BATCH, count - start))
+        for state_hi, state_lo, inc_hi, inc_lo in zip(*(h.tolist() for h in halves)):
+            yield (state_hi << 64) | state_lo, (inc_hi << 64) | inc_lo
+
+
+def substream_uniforms(spec: SeedSpec, first: int, count: int, draws: int) -> np.ndarray:
+    """The first ``draws`` variates of ``substream_rng(spec, i).random()`` for each
+    substream i in ``first .. first + count - 1``, as a (count, draws) array.
+
+    Each variate is one PCG64 step of the 128-bit LCG, its XSL-RR output
+    word w, and ``(w >> 11) * 2**-53``, which is what numpy's
+    ``Generator.random`` computes; here it runs for a whole batch of
+    states at once on ``uint64`` halves.
+    """
+    out = np.empty((count, draws))
+    for start in range(0, count, _STATE_BATCH):
+        stop = min(start + _STATE_BATCH, count)
+        state_hi, state_lo, inc_hi, inc_lo = _pcg64_states(spec.master_seed, first + start,
+                                                           stop - start)
+        for k in range(draws):
+            state_hi, state_lo = _add128(*_mul128(state_hi, state_lo, *_PCG64_MULT_HALVES),
+                                         inc_hi, inc_lo)
+            # XSL-RR: rotate hi ^ lo right by the state's top six bits
+            word, rot = state_hi ^ state_lo, state_hi >> np.uint64(58)
+            word = (word >> rot) | (word << ((np.uint64(64) - rot) & np.uint64(63)))
+            out[start:stop, k] = (word >> np.uint64(11)).astype(float) * 2.0 ** -53
+    return out
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo):
+    """(a * b) mod 2**128 on uint64 halves: the low product's high word
+    comes from its 32-bit limbs; every other product wraps."""
+    a0, a1 = a_lo & np.uint64(_MASK32), a_lo >> np.uint64(32)
+    b0, b1 = b_lo & np.uint64(_MASK32), b_lo >> np.uint64(32)
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> np.uint64(32)) + (p01 & np.uint64(_MASK32)) + (p10 & np.uint64(_MASK32))
+    hi = (a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
+          + a_lo * b_hi + a_hi * b_lo)
+    return hi, a_lo * b_lo
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    """(a + b) mod 2**128 on uint64 halves."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
 
 
 def _pcg64_states(master: int, first: int, count: int):
     """Rule 0's three stages over ``count`` consecutive indices at once.
 
     splitmix64 runs on ``uint64`` arrays, numpy's ``SeedSequence`` pool
-    hash and ``generate_state(4, uint64)`` on ``uint32`` arrays (both wrap
-    exactly like the reference), and PCG64's ``srandom`` on Python ints.
-    Returns the states and increments as two object arrays.
+    hash and ``generate_state(4, uint64)`` on ``uint32`` arrays, and
+    PCG64's ``srandom`` on ``uint64`` halves of its 128-bit words; all
+    wrap exactly like the reference.  Returns the states' and the
+    increments' high and low words as four ``uint64`` arrays.
     """
     z = np.uint64((master + (first + 1) * _GAMMA) & _MASK64)
     z = z + np.arange(count, dtype=np.uint64) * np.uint64(_GAMMA)
@@ -196,13 +243,14 @@ def _pcg64_states(master: int, first: int, count: int):
         hash_const = hash_const * _HASH_MULT_B & _MASK32
         value = value * np.uint32(hash_const)
         words.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
-    seed0, seed1, seq0, seq1 = (
-        (words[2 * k] | (words[2 * k + 1] << np.uint64(32))).astype(object) for k in range(4))
+    seed0, seed1, seq0, seq1 = (words[2 * k] | (words[2 * k + 1] << np.uint64(32)) for k in range(4))
 
     # PCG64 srandom: inc = 2 * initseq + 1; state = (inc + initstate) * MULT + inc.
-    inc = ((seq0 << 65) | (seq1 << 1) | 1) & _MASK128
-    state = ((inc + ((seed0 << 64) | seed1)) * _PCG64_MULT + inc) & _MASK128
-    return state, inc
+    inc_hi = (seq0 << np.uint64(1)) | (seq1 >> np.uint64(63))
+    inc_lo = (seq1 << np.uint64(1)) | np.uint64(1)
+    state = _add128(inc_hi, inc_lo, seed0, seed1)
+    state = _add128(*_mul128(*state, *_PCG64_MULT_HALVES), inc_hi, inc_lo)
+    return (*state, inc_hi, inc_lo)
 
 
 NATURAL_UNITS = UnitSystem()

@@ -211,11 +211,19 @@ def _integrate(field: MomentumField, x0, config: IntegratorConfig, times,
     proposal carries into the next step.  A member's arithmetic therefore
     never depends on the other rows.
 
+    The members still stepping form a dense working set: their ids, their
+    states and, under rkf45, their clocks, step proposals, next sample
+    indices and accepted-step counts are arrays aligned row for row, and
+    a member that finishes or retires is compacted out of all of them at
+    once.  A round therefore never gathers or scatters through the ids;
+    only landing on a sample time and retiring write to full-length
+    arrays.
+
     ``land(k, ids, rows)`` receives the states ``rows`` of members ``ids``
     as they reach times[k]; ``k`` is an int under rk4 and an array aligned
-    with ``ids`` under rkf45.  ``accepted(t, rows, h)``, if given, is
-    called after every accepted step with the states of the members that
-    took it, their new time and step size (scalars under rk4, arrays under
+    with ``ids`` under rkf45.  ``accepted(t, ids, rows, h)``, if given, is
+    called after every accepted step with the members that took it, their
+    states, their new time and step size (scalars under rk4, arrays under
     rkf45).
 
     A member retires as NEAR_NODE when it lies within twice the node guard
@@ -236,9 +244,14 @@ def _integrate(field: MomentumField, x0, config: IntegratorConfig, times,
     # The working set: the members still stepping and their states, kept
     # dense so that updates never gather or scatter.  Stage arguments and
     # sums go to buffers of the same shape; field outputs are only read.
+    # ``cols`` holds rkf45's other per-member arrays, aligned with ``ids``.
     ids = np.arange(n)
     x = last.copy()
     arg, acc = np.empty_like(x), np.empty_like(x)
+    cols = []
+    steps = 0
+    # full-length scratch for the guard, used through views of the live count
+    speed, reach_buf, bad_buf = np.empty(x.shape), np.empty(n), np.empty(n, dtype=bool)
 
     def rhs(pts):
         p = field._value_at(pts, check=False)
@@ -250,25 +263,29 @@ def _integrate(field: MomentumField, x0, config: IntegratorConfig, times,
 
     def drop(gone, t=None, reason=None):
         """Take the rows ``gone`` out of the working set; with a reason, they retire at ``t``."""
-        nonlocal ids, x, arg, acc
+        nonlocal ids, x, arg, acc, steps
         out = ids[gone]
         last[out] = x[gone]
         if reason is not None:
             term_time[out] = t[gone] if np.ndim(t) else t
             term_reason[out] = reason
+        if cols:  # the last column counts each member's accepted steps
+            steps = max(steps, int(cols[-1][gone].max()))
         keep = ~gone
         ids, x = ids[keep], x[keep]
+        cols[:] = [col[keep] for col in cols]
         arg, acc = np.empty_like(x), np.empty_like(x)
         return keep
 
     def guarded_k1(t, h):
         """First-stage slopes, after retiring the rows whose step of ``h`` dives toward a pole."""
         k1 = rhs(x)
+        m = len(x)
         # dist < 2 guard, or speed * h > dist / 2, with the 1-norm speed
-        reach = np.abs(k1).sum(axis=1)
+        reach = np.abs(k1, out=speed[:m]).sum(axis=1, out=reach_buf[:m])
         reach *= 2.0 * h
         np.maximum(reach, 2.0 * node_guard, out=reach)
-        bad = field.pole_distances(x) < reach
+        bad = np.less(field.pole_distances(x), reach, out=bad_buf[:m])
         if not bad.any():
             return k1, None
         keep = drop(bad, t, NEAR_NODE)
@@ -281,7 +298,6 @@ def _integrate(field: MomentumField, x0, config: IntegratorConfig, times,
             np.multiply(ks[i], c, out=tmp)
             out += tmp
 
-    steps = 0
     if config.scheme == "rk4":
         for t, h, t_next, k in _rk4_schedule(times, config.dt):
             k1, _ = guarded_k1(t, h)
@@ -316,46 +332,50 @@ def _integrate(field: MomentumField, x0, config: IntegratorConfig, times,
                 x, acc = acc, x
             steps += 1
             if accepted is not None:
-                accepted(t_next, x, h)
+                accepted(t_next, ids, x, h)
             if k and land is not None:
                 land(k, ids, x)
     else:
-        clock = np.full(n, times[0])
-        proposals = np.full(n, min(config.dt, config.dt_max))
-        upcoming = np.ones(n, dtype=np.intp)
-        taken = np.zeros(n, dtype=np.intp)
+        # each member's clock, step proposal, next sample index and
+        # accepted-step count; drop compacts them with ids and x
+        cols[:] = [np.full(n, times[0]), np.full(n, min(config.dt, config.dt_max)),
+                   np.ones(n, dtype=np.intp), np.zeros(n, dtype=np.intp)]
+        hks = np.empty((6,) + x.shape, dtype=complex)  # the stage increments h * k
+        err_buf, scale_buf = np.empty(x.shape), np.empty(x.shape)
         while ids.size:
-            proposal = proposals[ids]
+            clock, proposal, nxt, taken = cols
             under = proposal < config.dt_min
             if under.any():
-                drop(under, clock[ids], STEP_UNDERFLOW)
+                drop(under, clock, STEP_UNDERFLOW)
                 continue
-            t, nxt = clock[ids], upcoming[ids]
             target = times[nxt]
-            h = np.minimum(proposal, target - t)
-            k1, keep = guarded_k1(t, h)
+            room = target - clock
+            h = np.minimum(proposal, room)
+            k1, keep = guarded_k1(clock, h)
             if keep is not None:
                 if not ids.size:
                     break
-                t, nxt, target = t[keep], nxt[keep], target[keep]
-                proposal, h = proposal[keep], h[keep]
-            hc = h[:, None]
-            hks = [k1 * hc]  # the stage increments h * k
+                clock, proposal, nxt, taken = cols
+                target, room, h = target[keep], room[keep], h[keep]
+            m = ids.size
+            hc = h.astype(complex)[:, None]  # the cast each multiply would make
+            hk = hks[:, :m]
+            np.multiply(k1, hc, out=hk[0])
             for stage in range(1, 6):
-                weighted_sum(arg, acc, enumerate(_RKF_A[stage]), hks)
+                weighted_sum(arg, acc, enumerate(_RKF_A[stage]), hk)
                 arg += x
-                hks.append(rhs(arg) * hc)
-            weighted_sum(acc, arg, _RKF_ERR, hks)
-            err = np.abs(acc)
-            scale = np.abs(x)
+                np.multiply(rhs(arg), hc, out=hk[stage])
+            weighted_sum(acc, arg, _RKF_ERR, hk)
+            err = np.abs(acc, out=err_buf[:m])
+            scale = np.abs(x, out=scale_buf[:m])
             scale *= config.rel_tol
             scale += config.abs_tol
             err /= scale
             ratio = err.max(axis=1)
             ok = ratio <= 1.0  # a non-finite estimate is a rejection
-            weighted_sum(acc, arg, _RKF_B4, hks)
+            weighted_sum(acc, arg, _RKF_B4, hk)
             acc += x
-            np.copyto(x, acc, where=ok[:, None])
+            x = np.where(ok[:, None], acc, x)
 
             with np.errstate(divide="ignore"):
                 factor = ratio ** -0.2
@@ -364,21 +384,22 @@ def _integrate(field: MomentumField, x0, config: IntegratorConfig, times,
             np.fmin(factor, 5.0, out=factor)
             # an accepted step that was clipped lands on its target and
             # keeps its proposal; t + h of an unclipped one never passes it
-            lands = ok & (proposal >= target - t)
-            proposals[ids] = np.where(lands, proposal, np.minimum(h * factor, config.dt_max))
-            moved = ids[ok]
-            clock[moved] = np.where(lands, target, t + h)[ok]
-            taken[moved] += 1
-            if accepted is not None and moved.size:
-                accepted(clock[moved], x[ok], h[ok])
-            if lands.any():
+            lands = ok & (proposal >= room)
+            np.multiply(h, factor, out=factor)
+            np.minimum(factor, config.dt_max, out=factor)
+            cols[0] = np.where(ok, np.where(lands, target, clock + h), clock)
+            cols[1] = np.where(lands, proposal, factor)
+            taken += ok
+            if accepted is not None and ok.any():
+                accepted(cols[0][ok], ids[ok], x[ok], h[ok])
+            landed = np.flatnonzero(lands)
+            if landed.size:
                 if land is not None:
-                    land(nxt[lands], ids[lands], x[lands])
-                upcoming[ids[lands]] += 1
+                    land(nxt[landed], ids[landed], x[landed])
                 finished = lands & (nxt == len(times) - 1)
+                nxt += lands
                 if finished.any():
                     drop(finished)
-        steps = int(taken.max())
     last[ids] = x
     return last, term_time, term_reason, steps
 
@@ -402,7 +423,7 @@ def evolve(field: MomentumField, potential: PotentialField, x0, config: Integrat
     start = _as_state(x0, field.dimension).reshape(1, -1)
     times, positions, steps = [0.0], [start], []
 
-    def keep(t, rows, h):
+    def keep(t, ids, rows, h):
         times.append(t)
         positions.append(rows.copy())
         steps.append(h)

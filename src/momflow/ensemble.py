@@ -10,10 +10,13 @@ controlled per member, so results never depend on scheduling).
 
 Initial points are drawn on the real axis from per-member substreams.
 Seed rule 0 is splitmix64 (``mix_seed``), then numpy's ``SeedSequence``,
-then PCG64; the PCG64 states of the whole batch are derived at once and
-numpy makes every draw, so identical specs reproduce bit-identical
-ensembles.  Evolution generally leaves the real axis, so histograms
-project Re(x) and disclose the off-axis mass instead of hiding it.
+then PCG64.  The PCG64 states of the whole batch are derived at once;
+uniform draws are made from them for the whole batch as well, bit for
+bit as numpy's ``Generator.random`` would make them, and Gaussian draws
+are left to numpy, one member at a time.  Identical specs therefore
+reproduce bit-identical ensembles.  Evolution generally leaves the real
+axis, so histograms project Re(x) and disclose the off-axis mass instead
+of hiding it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCE, NATURAL_UNITS, SeedSpec, TolerancePolicy, UnitSystem, substream_states
+from .core import (DEFAULT_TOLERANCE, NATURAL_UNITS, SeedSpec, TolerancePolicy, UnitSystem,
+                   substream_states, substream_uniforms)
 from .dynamics import COMPLETED, REASON_LABELS, IntegratorConfig, _integrate
 from .errors import EmptyRegion, RegionOverlapsSingularity, TimeOutOfRange, ZeroMass
 from .fields import MomentumField, PotentialField, _GL_NODES, _GL_WEIGHTS
@@ -124,36 +128,36 @@ def sample_initial(spec: EnsembleSpec, poles=(),
 
     Member i draws from its own substream mix(master_seed, first_stream + i),
     so samples are independent of ensemble size and of each other.  The
-    PCG64 states of all substreams are derived at once; one generator is
-    set to each in turn and numpy makes every draw.
+    PCG64 states of all substreams are derived at once.  Uniform variates
+    are then drawn for the whole batch by ``substream_uniforms``; for a
+    Gaussian, one numpy generator is set to each state in turn and draws,
+    because numpy's ziggurat tables for the normal are internal.  Either
+    way the draws equal those of ``substream_rng(spec.seed, first_stream + i)``.
     """
     box = spec.box
     _check_region(box, poles, tolerance.node_guard)
     d = len(box)
-    out = np.empty((spec.count, d))
     dist = spec.distribution
+    if dist.kind == "uniform":
+        lo, hi = np.array(box).T
+        return lo + (hi - lo) * substream_uniforms(spec.seed, spec.first_stream, spec.count, d)
+    out = np.empty((spec.count, d))
     rng = np.random.Generator(np.random.PCG64())
     stream = {"state": 0, "inc": 0}
     bit_state = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
     for i, (state, inc) in enumerate(substream_states(spec.seed, spec.first_stream, spec.count)):
         stream["state"], stream["inc"] = state, inc
         rng.bit_generator.state = bit_state
-        if dist.kind == "uniform":
-            rng.random(out=out[i])
-        else:
-            for k, (lo, hi) in enumerate(box):
-                for _attempt in range(10_000):
-                    draw = rng.normal(dist.mean, dist.sigma)
-                    if lo <= draw <= hi:
-                        out[i, k] = draw
-                        break
-                else:
-                    raise EmptyRegion(
-                        f"gaussian rejection sampling failed on axis {k}: the interval "
-                        f"({lo}, {hi}) carries almost no probability mass")
-    if dist.kind == "uniform":
-        lo, hi = np.array(box).T
-        out = lo + (hi - lo) * out
+        for k, (lo, hi) in enumerate(box):
+            for _attempt in range(10_000):
+                draw = rng.normal(dist.mean, dist.sigma)
+                if lo <= draw <= hi:
+                    out[i, k] = draw
+                    break
+            else:
+                raise EmptyRegion(
+                    f"gaussian rejection sampling failed on axis {k}: the interval "
+                    f"({lo}, {hi}) carries almost no probability mass")
     return out
 
 
@@ -195,10 +199,16 @@ class EnsembleResult:
         """Largest per-member |E(t) - E(0)| over pre-termination snapshots."""
         if self.energies is None:
             raise ValueError("energies were not recorded")
-        drift = np.abs(self.energies - self.energies[0])
-        alive = np.stack([self.alive_at(i) for i in range(len(self.times))])
-        drift = np.where(alive, drift, 0.0)
-        return float(drift.max())
+        # one snapshot at a time, so the temporaries stay one row long; a
+        # nan drift of a live member propagates, as in the whole-array max
+        start = self.energies[0]
+        diff, drift = np.empty_like(start), np.empty(start.shape)
+        worst = 0.0
+        for s, row in enumerate(self.energies):
+            np.abs(np.subtract(row, start, out=diff), out=drift)
+            drift[~self.alive_at(s)] = 0.0
+            worst = np.maximum(worst, drift.max())
+        return float(worst)
 
 
 def evolve_ensemble(field: MomentumField, potential: PotentialField, spec: EnsembleSpec,

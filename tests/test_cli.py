@@ -283,19 +283,31 @@ def test_invalid_nested_config_still_writes_summary(tmp_path):
     assert "hydrogen" in summary["error"]
 
 
-@pytest.mark.parametrize("setting", [{"t_end": -1}, {"scheme": "euler"},
-                                     {"max_displacement_tol": "abc"}])
+# Each case is {scenario: bad setting}; the setting overrides a valid block.
+VALID_BLOCKS = {
+    "evolve": {"x0": [1.0, 0.0], "dt": 0.01, "t_end": 1.0},
+    "field-scan": {"samples": 50},
+    "ensemble": {"count": 10, "region": [0.8, 1.2], "dt": 0.01, "t_end": 0.1},
+}
+
+
+@pytest.mark.parametrize("setting", [
+    {"evolve": {"t_end": -1}}, {"evolve": {"scheme": "euler"}},
+    {"evolve": {"max_displacement_tol": "abc"}},
+    {"field-scan": {"region": [1.0]}}, {"ensemble": {"region": [1.0]}},
+])
 def test_bad_integrator_settings_are_config_errors(tmp_path, setting):
+    (scenario, bad), = setting.items()
     out = tmp_path / "run"
     path = write_config(tmp_path, {
-        "scenario": "evolve",
+        "scenario": scenario,
         "out_dir": str(out),
-        "evolve": {"x0": [1.0, 0.0], "dt": 0.01, "t_end": 1.0, **setting},
+        scenario.replace("-", "_"): {**VALID_BLOCKS[scenario], **bad},
     })
-    assert main(["evolve", "--config", str(path)]) == 1
+    assert main([scenario, "--config", str(path)]) == 1
     summary = read_summary(out)
     assert summary["status"] == "config-error"
-    assert next(iter(setting)) in summary["error"]
+    assert next(iter(bad)) in summary["error"]
 
 
 def test_run_error_paths_still_write_summary(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import chi2
 
 from momflow import SeedSpec, TolerancePolicy, UnitSystem, mix_seed, substream_rng
-from momflow.core import _STATE_BATCH, substream_states
+from momflow.core import _STATE_BATCH, substream_states, substream_uniforms
 
 
 def test_mix_seed_is_deterministic():
@@ -59,6 +59,14 @@ def test_batched_stream_states_equal_numpy_seeding(first):
 def test_stream_states_cross_batch_boundaries():
     count = 2 * _STATE_BATCH + 3
     assert list(substream_states(SeedSpec(77), 5, count)) == numpy_states(77, 5, count)
+
+
+@pytest.mark.parametrize("first", FIRST_STREAMS)
+def test_batched_uniforms_equal_numpy_draws(first):
+    for master in EDGE_SEEDS:
+        spec = SeedSpec(master)
+        expected = [substream_rng(spec, first + i).random(7) for i in range(4)]
+        assert substream_uniforms(spec, first, 4, 7).tobytes() == np.array(expected).tobytes()
 
 
 def test_seed_spec_validation():

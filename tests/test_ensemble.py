@@ -19,7 +19,8 @@ from momflow import (
     sample_initial,
     uniform_distribution,
 )
-from momflow.core import substream_rng
+from momflow.core import _STATE_BATCH, NATURAL_UNITS, substream_rng
+from momflow.dynamics import _integrate
 from momflow.ensemble import REASON_LABELS
 from momflow.errors import RegionOverlapsSingularity, TimeOutOfRange, ZeroMass
 
@@ -93,6 +94,9 @@ BOX_3D = ((0.8, 1.2), (-2.0, 3.0), (5.0, 9.0))
     (1000, BOX_3D, gaussian_distribution(1.0, 2.0), 9, 3),
     # Accepts ~7% of draws: ~15 normal draws per member.
     (1000, (1.5, 3.0), gaussian_distribution(0.0, 1.0), 12, 2**64 - 500),
+    # Uniform draws are made a batch of states at a time: cross two batch
+    # boundaries, and let the stream index wrap past 2**64.
+    (2 * _STATE_BATCH + 3, BOX_3D, None, 3, 2**64 - _STATE_BATCH - 7),
 ])
 def test_sampling_equals_per_member_generators(count, region, distribution, seed, first_stream):
     spec = make_spec(count=count, region=region, distribution=distribution, seed=seed,
@@ -139,6 +143,31 @@ def test_members_near_branch_point_terminate():
     assert 0 < terminated < 150
     assert 0.7 < result.completion_fraction < 1.0
     assert np.all(np.isfinite(result.termination_time[~result.completed]))
+
+
+def test_energy_drift_skips_retired_members():
+    # Level 2 from (0.75, 2.0): members retire near the node at t = 0 and
+    # near t = 1.25, after which their energies are not counted.
+    spec = EnsembleSpec(count=100, region=(0.75, 2.0), distribution=uniform_distribution(),
+                        seed=SeedSpec(11), integrator=IntegratorConfig(t_end=2.0, dt=1e-2),
+                        snapshots=21)
+    result = evolve_ensemble(qho_field(2), POT, spec)
+    retired = result.termination_time[~result.completed]
+    assert np.any(retired == 0.0) and np.any(retired > 1.0)
+
+    def whole_array_drift(res):
+        drift = np.abs(res.energies - res.energies[0])
+        alive = np.stack([res.alive_at(i) for i in range(len(res.times))])
+        return float(np.where(alive, drift, 0.0).max())
+
+    expected = whole_array_drift(result)
+    assert result.max_energy_drift() == expected
+    # a member's energy after it retired never counts, even when it is nan
+    result.energies[-1, np.flatnonzero(result.termination_time > 1.0)[0]] = np.nan
+    assert result.max_energy_drift() == expected
+    # a live member's nan drift is the answer, as in the whole-array max
+    result.energies[len(result.times) // 2, np.flatnonzero(result.completed)[0]] = np.nan
+    assert np.isnan(whole_array_drift(result)) and np.isnan(result.max_energy_drift())
 
 
 def test_identical_specs_give_identical_histograms():
@@ -208,6 +237,45 @@ def test_merging_disjoint_rkf45_shards_equals_one_ensemble():
                           equal_nan=True)
     assert np.array_equal(whole.termination_reason,
                           np.concatenate([first.termination_reason, second.termination_reason]))
+
+
+def test_rkf45_members_step_alike_alone_and_together():
+    # Level 2, node at 0.707: four members retire near the node at t = 0,
+    # four by step underflow near t = 1.25 (dt_min = 1e-3), four complete;
+    # they are interleaved so that each retirement compacts the middle of
+    # the working set.
+    field = qho_field(2)
+    x0 = np.array([0.9, 0.7075, 1.925, 1.3, 0.715, 1.923, 1.6, 0.73, 1.927, 1.92, 0.74, 1.93],
+                  dtype=complex)[:, None]
+    config = IntegratorConfig(t_end=2.0, dt=1e-2, scheme="rkf45", dt_min=1e-3)
+    times = np.linspace(0.0, 2.0, 21)
+
+    def run(rows):
+        snaps = np.full((len(times),) + rows.shape, np.nan, dtype=complex)
+        snaps[0] = rows
+        steps = np.zeros(len(rows), dtype=int)
+
+        def land(k, ids, states):
+            snaps[k, ids] = states
+
+        def accepted(t, ids, states, h):
+            steps[ids] += 1
+
+        last, term_time, reason, most = _integrate(field, rows, config, times, NATURAL_UNITS,
+                                                   land, accepted)
+        assert most == steps.max()
+        return snaps, last, term_time, reason, steps
+
+    snaps, last, term_time, reason, steps = run(x0)
+    assert list(reason) == [0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2]
+    assert np.all(term_time[reason == 1] == 0.0)
+    assert np.all((term_time[reason == 2] > 1.2) & (term_time[reason == 2] < 1.3))
+    for i in range(len(x0)):
+        a_snaps, a_last, a_time, a_reason, a_steps = run(x0[i:i + 1])
+        assert np.array_equal(snaps[:, i], a_snaps[:, 0], equal_nan=True), i
+        assert np.array_equal(last[i], a_last[0]), i
+        assert np.array_equal(term_time[i], a_time[0], equal_nan=True), i
+        assert reason[i] == a_reason[0] and steps[i] == a_steps[0], i
 
 
 @pytest.mark.parametrize("scheme, dt, snapshots", [("rk4", 3e-3, 7), ("rkf45", 1e-3, 201)])
