@@ -305,14 +305,23 @@ def _run_ensemble(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     if _expect(p, "dump_trajectories", bool, "ensemble", default=False) and count > 100_000:
         raise ConfigError("ensemble.dump_trajectories: refusing per-member dumps "
                           "for more than 100000 members")
+    bins = _expect(p, "bins", int, "ensemble", default=40)
+    if bins < 1:
+        raise ConfigError(f"ensemble.bins: expected at least 1, got {bins!r}")
+    hist_times = _expect(p, "histogram_times", list, "ensemble", default=[spec.integrator.t_end])
+    if not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in hist_times):
+        raise ConfigError(f"ensemble.histogram_times: expected a list of numbers, "
+                          f"got {hist_times!r}")
+    born_block = _expect(p, "born_reference", dict, "ensemble")
+    if born_block is not None:
+        level = _expect(born_block, "level", int, "ensemble.born_reference", default=1)
+        if level < 0:
+            raise ConfigError(f"ensemble.born_reference.level: expected at least 0, got {level}")
 
     result = evolve_ensemble(field, potential, spec, cfg.units)
     summary = reports.ensemble_summary(result)
     summary["seed"] = spec.seed.master_seed
 
-    bins = _expect(p, "bins", int, "ensemble", default=40)
-    hist_times = _expect(p, "histogram_times", list, "ensemble",
-                         default=[float(result.times[-1])])
     meta = reports.standard_metadata(seed=spec.seed.master_seed,
                                      config_hash=cfg.config_hash)
     summary["histograms"] = []
@@ -323,9 +332,7 @@ def _run_ensemble(cfg: RunConfig, out: Path) -> tuple[int, dict]:
             "off_axis_count": hist.off_axis_count,
             "terminated_count": hist.terminated_count,
         }
-        born_block = p.get("born_reference")
         if born_block is not None:
-            level = _expect(born_block, "level", int, "ensemble.born_reference", default=1)
             a = cfg.units.mass * cfg.units.omega / cfg.units.hbar
             from .fields import _hermite
 

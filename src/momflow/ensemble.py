@@ -10,13 +10,13 @@ controlled per member, so results never depend on scheduling).
 
 Initial points are drawn on the real axis from per-member substreams.
 Seed rule 0 is splitmix64 (``mix_seed``), then numpy's ``SeedSequence``,
-then PCG64.  The PCG64 states of the whole batch are derived at once;
-uniform draws are made from them for the whole batch as well, bit for
-bit as numpy's ``Generator.random`` would make them, and Gaussian draws
-are left to numpy, one member at a time.  Identical specs therefore
-reproduce bit-identical ensembles.  Evolution generally leaves the real
-axis, so histograms project Re(x) and disclose the off-axis mass instead
-of hiding it.
+then PCG64.  The PCG64 states of the whole batch are derived at once,
+and uniform and Gaussian draws are made from them for the whole batch as
+well, bit for bit as numpy's ``Generator.random`` and ``Generator.normal``
+would make them (a Gaussian's rare slow ziggurat words are handed to
+numpy itself).  Identical specs therefore reproduce bit-identical
+ensembles.  Evolution generally leaves the real axis, so histograms
+project Re(x) and disclose the off-axis mass instead of hiding it.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .core import (DEFAULT_TOLERANCE, NATURAL_UNITS, SeedSpec, TolerancePolicy, UnitSystem,
-                   substream_states, substream_uniforms)
+                   substream_normals, substream_uniforms)
 from .dynamics import COMPLETED, REASON_LABELS, IntegratorConfig, _integrate
-from .errors import EmptyRegion, RegionOverlapsSingularity, TimeOutOfRange, ZeroMass
+from .errors import RegionOverlapsSingularity, TimeOutOfRange, ZeroMass
 from .fields import MomentumField, PotentialField, _GL_NODES, _GL_WEIGHTS
 
 __all__ = [
@@ -128,11 +128,11 @@ def sample_initial(spec: EnsembleSpec, poles=(),
 
     Member i draws from its own substream mix(master_seed, first_stream + i),
     so samples are independent of ensemble size and of each other.  The
-    PCG64 states of all substreams are derived at once.  Uniform variates
-    are then drawn for the whole batch by ``substream_uniforms``; for a
-    Gaussian, one numpy generator is set to each state in turn and draws,
-    because numpy's ziggurat tables for the normal are internal.  Either
-    way the draws equal those of ``substream_rng(spec.seed, first_stream + i)``.
+    draws are made for a whole batch of substreams at once, uniform ones
+    by ``substream_uniforms`` and Gaussian ones, rejection-truncated to the
+    region, by ``substream_normals``; either way they equal those of
+    ``substream_rng(spec.seed, first_stream + i)``.  A Gaussian interval
+    that a member misses 10 000 times in a row raises ``EmptyRegion``.
     """
     box = spec.box
     _check_region(box, poles, tolerance.node_guard)
@@ -141,24 +141,7 @@ def sample_initial(spec: EnsembleSpec, poles=(),
     if dist.kind == "uniform":
         lo, hi = np.array(box).T
         return lo + (hi - lo) * substream_uniforms(spec.seed, spec.first_stream, spec.count, d)
-    out = np.empty((spec.count, d))
-    rng = np.random.Generator(np.random.PCG64())
-    stream = {"state": 0, "inc": 0}
-    bit_state = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
-    for i, (state, inc) in enumerate(substream_states(spec.seed, spec.first_stream, spec.count)):
-        stream["state"], stream["inc"] = state, inc
-        rng.bit_generator.state = bit_state
-        for k, (lo, hi) in enumerate(box):
-            for _attempt in range(10_000):
-                draw = rng.normal(dist.mean, dist.sigma)
-                if lo <= draw <= hi:
-                    out[i, k] = draw
-                    break
-            else:
-                raise EmptyRegion(
-                    f"gaussian rejection sampling failed on axis {k}: the interval "
-                    f"({lo}, {hi}) carries almost no probability mass")
-    return out
+    return substream_normals(spec.seed, spec.first_stream, spec.count, dist.mean, dist.sigma, box)
 
 
 @dataclass
@@ -295,6 +278,8 @@ def density_histogram(result: EnsembleResult, t: float, bins) -> DensityHistogra
     re = xs.real
     if np.isscalar(bins):
         k = int(bins)
+        if k < 1:
+            raise ValueError(f"need at least one bin, got {bins!r}")
         if re.size == 0:
             raise ZeroMass("no live members at this snapshot")
         lo, hi = float(re.min()), float(re.max())

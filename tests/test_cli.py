@@ -295,6 +295,8 @@ VALID_BLOCKS = {
     {"evolve": {"t_end": -1}}, {"evolve": {"scheme": "euler"}},
     {"evolve": {"max_displacement_tol": "abc"}},
     {"field-scan": {"region": [1.0]}}, {"ensemble": {"region": [1.0]}},
+    {"ensemble": {"born_reference": 3}}, {"ensemble": {"histogram_times": ["a"]}},
+    {"ensemble": {"bins": 0}}, {"ensemble": {"born_reference": {"level": -1}}},
 ])
 def test_bad_integrator_settings_are_config_errors(tmp_path, setting):
     (scenario, bad), = setting.items()

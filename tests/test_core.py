@@ -5,7 +5,8 @@ import pytest
 from scipy.stats import chi2
 
 from momflow import SeedSpec, TolerancePolicy, UnitSystem, mix_seed, substream_rng
-from momflow.core import _STATE_BATCH, substream_states, substream_uniforms
+from momflow.core import (_MAX_BUDGET, _ZIGGURAT_KI, _ZIGGURAT_WI, _pcg64_jump, _pcg64_states,
+                          substream_uniforms)
 
 
 def test_mix_seed_is_deterministic():
@@ -52,13 +53,10 @@ FIRST_STREAMS = (0, 10**12, -3, 2**64 - 3)
 def test_batched_stream_states_equal_numpy_seeding(first):
     masters = EDGE_SEEDS + tuple(random.Random(first).getrandbits(64) for _ in range(1000))
     for master in masters:
-        derived = list(substream_states(SeedSpec(master), first, 4))
+        state_hi, state_lo, inc_hi, inc_lo = (h.tolist() for h in _pcg64_states(master, first, 4))
+        derived = [(sh << 64 | sl, ih << 64 | il)
+                   for sh, sl, ih, il in zip(state_hi, state_lo, inc_hi, inc_lo)]
         assert derived == numpy_states(master, first, 4), master
-
-
-def test_stream_states_cross_batch_boundaries():
-    count = 2 * _STATE_BATCH + 3
-    assert list(substream_states(SeedSpec(77), 5, count)) == numpy_states(77, 5, count)
 
 
 @pytest.mark.parametrize("first", FIRST_STREAMS)
@@ -67,6 +65,61 @@ def test_batched_uniforms_equal_numpy_draws(first):
         spec = SeedSpec(master)
         expected = [substream_rng(spec, first + i).random(7) for i in range(4)]
         assert substream_uniforms(spec, first, 4, 7).tobytes() == np.array(expected).tobytes()
+
+
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def numpy_normal_from_word(rng, word):
+    """numpy's standard_normal from a PCG64 state whose next output is ``word``,
+    and whether that one word was all it read.
+
+    A state whose top 64 bits are 0 outputs its low 64 bits unrotated, so
+    the state after the step is ``word`` itself; one LCG step back, with
+    the multiplier's inverse mod 2**128, is the state before it.
+    """
+    before = (word - 1) * pow(PCG64_MULT, -1, 2**128) % 2**128
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": before, "inc": 1},
+                               "has_uint32": 0, "uinteger": 0}
+    draw = rng.standard_normal()
+    return draw, rng.bit_generator.state["state"]["state"] == word
+
+
+def test_ziggurat_tables_equal_numpys():
+    # A word is idx (8 bits), sign (1 bit) and rabs (52 bits), low first.
+    rng = np.random.Generator(np.random.PCG64())
+    wi, ki = np.empty(256), np.empty(256, dtype=np.uint64)
+    for idx in range(256):
+        # rabs = 1 draws 1 * wi[idx]: by the fast path, or at idx 1, whose
+        # ki is 0, by the wedge test, which any x this small passes.
+        wi[idx] = numpy_normal_from_word(rng, 1 << 9 | idx)[0]
+        # The fast path reads one word and takes rabs < ki[idx]: ki[idx]
+        # is the least rabs that reads more.  rabs = 0 is searched too.
+        lo, hi = 0, 1 << 52
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if numpy_normal_from_word(rng, mid << 9 | idx)[1]:
+                lo = mid + 1
+            else:
+                hi = mid
+        ki[idx] = lo
+    assert ki[1] == 0
+    assert wi.tobytes() == _ZIGGURAT_WI.tobytes()
+    assert ki.tobytes() == _ZIGGURAT_KI.tobytes()
+
+
+def test_pcg64_jumps_equal_consecutive_numpy_words():
+    # j steps in one jump, for every j a Gaussian round may take
+    bitgen = np.random.PCG64(2024)
+    start = bitgen.state["state"]
+
+    def halves(v):
+        return np.array([v >> 64], dtype=np.uint64), np.array([v & (2**64 - 1)], dtype=np.uint64)
+
+    hi, lo, words = _pcg64_jump(*halves(start["state"]), *halves(start["inc"]),
+                                np.arange(1, _MAX_BUDGET + 1))
+    assert np.array_equal(words, bitgen.random_raw(_MAX_BUDGET))
+    assert (int(hi[-1]) << 64 | int(lo[-1])) == bitgen.state["state"]["state"]
 
 
 def test_seed_spec_validation():

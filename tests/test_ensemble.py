@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -19,10 +21,11 @@ from momflow import (
     sample_initial,
     uniform_distribution,
 )
+from momflow import core
 from momflow.core import _STATE_BATCH, NATURAL_UNITS, substream_rng
 from momflow.dynamics import _integrate
 from momflow.ensemble import REASON_LABELS
-from momflow.errors import RegionOverlapsSingularity, TimeOutOfRange, ZeroMass
+from momflow.errors import EmptyRegion, RegionOverlapsSingularity, TimeOutOfRange, ZeroMass
 
 FIELD = qho_field(1)
 POT = harmonic_potential()
@@ -97,11 +100,49 @@ BOX_3D = ((0.8, 1.2), (-2.0, 3.0), (5.0, 9.0))
     # Uniform draws are made a batch of states at a time: cross two batch
     # boundaries, and let the stream index wrap past 2**64.
     (2 * _STATE_BATCH + 3, BOX_3D, None, 3, 2**64 - _STATE_BATCH - 7),
+    # Gaussian draws too are made a batch at a time, and the ziggurat's slow
+    # words (the idx-0 tail and the wedges) are handed to numpy: axis 0 is
+    # wide enough to accept tail draws, axis 1 rejects some of them.
+    (2 * _STATE_BATCH + 5, ((-8.0, 8.0), (-1.0, 2.5)), gaussian_distribution(0.0, 1.0), 21,
+     2**63),
 ])
-def test_sampling_equals_per_member_generators(count, region, distribution, seed, first_stream):
+def test_sampling_equals_per_member_generators(count, region, distribution, seed, first_stream,
+                                               monkeypatch):
+    handed = []
+    slow_normal = core._slow_normal
+
+    def spy(rng, state, inc):
+        draw, after = slow_normal(rng, state, inc)
+        handed.append(draw)
+        return draw, after
+
+    monkeypatch.setattr(core, "_slow_normal", spy)
     spec = make_spec(count=count, region=region, distribution=distribution, seed=seed,
                      first_stream=first_stream)
-    assert sample_initial(spec).tobytes() == reference_sample(spec).tobytes()
+    sample = sample_initial(spec)
+    assert sample.tobytes() == reference_sample(spec).tobytes()
+    if distribution is not None and count > _STATE_BATCH:
+        # Only the idx-0 tail gives |z| beyond the ziggurat's base r, so
+        # the hand-off ran for tail draws, and for wedge draws inside r.
+        r = 3.6541528853610088
+        assert np.abs(sample[:, 0]).max() > r
+        assert any(abs(z) < r for z in handed)
+
+
+@pytest.mark.parametrize("region, sigma", [
+    # the CLI's EmptyRegion case, sampled directly
+    ((5.0, 6.0), 0.3),
+    # little mass: member 0 would first land inside on its 34 726th draw
+    ((3.9, 4.5), 1.0),
+])
+def test_region_without_gaussian_mass_is_a_bounded_error(region, sigma):
+    # Each member misses 10 000 times at most, in a few rounds of words.
+    spec = make_spec(count=10, region=region, seed=3,
+                     distribution=gaussian_distribution(0.0, sigma))
+    start = time.perf_counter()
+    with pytest.raises(EmptyRegion):
+        sample_initial(spec)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_region_overlapping_a_node_is_rejected():
@@ -416,6 +457,13 @@ def test_nonuniform_bins_rejected():
     result = evolve_ensemble(FIELD, POT, spec)
     with pytest.raises(ValueError):
         density_histogram(result, 1.0, np.array([0.0, 0.5, 2.0]))
+
+
+@pytest.mark.parametrize("bins", [0, -2])
+def test_bin_count_must_be_positive(bins):
+    result = evolve_ensemble(FIELD, POT, make_spec(count=10, t_end=0.1))
+    with pytest.raises(ValueError):
+        density_histogram(result, 0.1, bins)
 
 
 # -- Born comparison -----------------------------------------------------------------
