@@ -101,7 +101,8 @@ class IntegratorConfig:
 
     ``rk4`` uses steps no longer than ``dt``.  ``rkf45`` adapts each
     member's step from its embedded 4(5) error estimate against
-    ``abs_tol``/``rel_tol``, keeping it within [dt_min, dt_max].
+    ``abs_tol``/``rel_tol`` (finite, non-negative, not both 0), keeping it
+    within [dt_min, dt_max].  ``t_end`` and ``dt`` are finite and positive.
     """
 
     t_end: float
@@ -115,10 +116,20 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.scheme not in ("rk4", "rkf45"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not (self.t_end > 0 and self.dt > 0):
-            raise ValueError("t_end and dt must be positive")
-        if self.scheme == "rkf45" and not (0 < self.dt_min <= self.dt_max):
+        for key in ("t_end", "dt"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{key} must be finite and positive, got {value!r}")
+        if self.scheme != "rkf45":
+            return
+        if not (0 < self.dt_min <= self.dt_max):
             raise ValueError("need 0 < dt_min <= dt_max")
+        for key in ("abs_tol", "rel_tol"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{key} must be finite and non-negative, got {value!r}")
+        if self.abs_tol == self.rel_tol == 0:
+            raise ValueError("abs_tol and rel_tol cannot both be 0")
 
 
 def force_at(field: MomentumField, potential: PotentialField, r,

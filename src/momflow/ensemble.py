@@ -3,10 +3,11 @@
 A single trajectory cannot exhibit everything the underlying state
 encodes; an ensemble of particles started from random initial points
 does.  Members never interact, so the batch is embarrassingly parallel:
-the stepper shared with ``dynamics.evolve`` advances all members together
-with vectorized arithmetic, which is simultaneously the fast path and the
+the stepper shared with ``dynamics.evolve`` advances the members of one
+contiguous block together with vectorized arithmetic, one cache-sized
+block after another, which is simultaneously the fast path and the
 deterministic one (fixed evaluation and reduction order, and step sizes
-controlled per member, so results never depend on scheduling).
+controlled per member, so results never depend on blocking or scheduling).
 
 Initial points are drawn on the real axis from per-member substreams.
 Seed rule 0 is splitmix64 (``mix_seed``), then numpy's ``SeedSequence``,
@@ -48,6 +49,10 @@ __all__ = [
 ]
 
 _OFF_AXIS_CUT = 0.01
+# Members are stepped and their energies recorded in blocks of at most this
+# much complex state (16 384 one-dimensional members), so that a step's
+# dozen block-sized arrays stay in a 2 MB L2 cache.
+_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -194,6 +199,13 @@ class EnsembleResult:
         return float(worst)
 
 
+def _blocks(count, d):
+    """(lo, hi) bounds of the equal contiguous member blocks, the last one possibly shorter."""
+    cap = max(1, _BLOCK_BYTES // (16 * d))
+    size = -(-count // -(-count // cap))  # ceil(count / ceil(count / cap))
+    return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
+
+
 def evolve_ensemble(field: MomentumField, potential: PotentialField, spec: EnsembleSpec,
                     units: UnitSystem = NATURAL_UNITS, record_energy: bool = True) -> EnsembleResult:
     """Evolve every member of ``spec`` and collect snapshots and outcomes.
@@ -202,10 +214,11 @@ def evolve_ensemble(field: MomentumField, potential: PotentialField, spec: Ensem
     Member failures (diving toward a node, adaptive-step underflow) are
     recorded as per-member outcomes, and a retired member keeps its last
     state in every later snapshot; the batch itself never aborts.  The
-    members are stepped together with vectorized arithmetic, but each
-    member's steps depend on its own state only (rkf45 controls its step
-    size per member), so results do not depend on the batch a member is
-    evolved in.
+    members are stepped, and their energies recorded, in contiguous blocks
+    of at most 256 KiB of complex state, with vectorized arithmetic within
+    a block.  Each member's steps depend on its own state
+    only (rkf45 controls its step size per member), so results do not
+    depend on the block or the batch a member is evolved in.
     """
     d = spec.dimension
     if d != field.dimension:
@@ -213,17 +226,31 @@ def evolve_ensemble(field: MomentumField, potential: PotentialField, spec: Ensem
     times = np.linspace(0.0, spec.integrator.t_end, spec.snapshots)
     positions = np.empty((spec.snapshots, spec.count, d), dtype=complex)
     positions[0] = sample_initial(spec, poles=field.poles, tolerance=field.tolerance)
-
-    def land(k, ids, rows):
-        positions[k, ids] = rows
+    blocks = _blocks(spec.count, d)
 
     start = time.perf_counter()
-    last, term_time, term_reason, steps_taken = _integrate(
-        field, positions[0], spec.integrator, times, units, land)
-    # a retired member stays where it stopped in every later snapshot
-    gone = np.flatnonzero(~np.isnan(term_time))
-    later, member = np.nonzero(times[:, None] > term_time[gone])
-    positions[later, gone[member]] = last[gone[member]]
+    term_time = np.empty(spec.count)
+    term_reason = np.empty(spec.count, dtype=np.int8)
+    steps_taken = 0
+    for lo, hi in blocks:
+        block = positions[:, lo:hi]
+
+        def land(k, ids, rows):
+            # rk4 lands the whole block with a scalar k while no member has
+            # retired; rkf45's k is per member even when every member lands
+            if np.ndim(k) == 0 and len(ids) == hi - lo:
+                block[k] = rows
+            else:
+                block[k, ids] = rows
+
+        last, term_time[lo:hi], term_reason[lo:hi], steps = _integrate(
+            field, block[0], spec.integrator, times, units, land)
+        steps_taken = max(steps_taken, steps)
+        # a retired member stays where it stopped in every later snapshot
+        stopped = term_time[lo:hi]
+        gone = np.flatnonzero(~np.isnan(stopped))
+        later, member = np.nonzero(times[:, None] > stopped[gone])
+        block[later, gone[member]] = last[gone[member]]
     wall = time.perf_counter() - start
 
     energies = None
@@ -231,11 +258,12 @@ def evolve_ensemble(field: MomentumField, potential: PotentialField, spec: Ensem
         coeff = 0.5j * units.hbar / units.mass
         energies = np.empty(positions.shape[:2], dtype=complex)
         for s in range(positions.shape[0]):
-            pts = positions[s]
-            p = field._value_at(pts, check=False)
-            div = np.trace(field._jacobian_at(pts, check=False), axis1=1, axis2=2)
-            u = potential._value_at(pts)
-            energies[s] = (p * p).sum(axis=1) / (2.0 * units.mass) + u - coeff * div
+            for lo, hi in blocks:
+                pts = positions[s, lo:hi]
+                p = field._value_at(pts, check=False)
+                div = np.trace(field._jacobian_at(pts, check=False), axis1=1, axis2=2)
+                u = potential._value_at(pts)
+                energies[s, lo:hi] = (p * p).sum(axis=1) / (2.0 * units.mass) + u - coeff * div
 
     return EnsembleResult(
         spec=spec, times=times, positions=positions, energies=energies,

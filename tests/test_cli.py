@@ -297,6 +297,7 @@ VALID_BLOCKS = {
     {"field-scan": {"region": [1.0]}}, {"ensemble": {"region": [1.0]}},
     {"ensemble": {"born_reference": 3}}, {"ensemble": {"histogram_times": ["a"]}},
     {"ensemble": {"bins": 0}}, {"ensemble": {"born_reference": {"level": -1}}},
+    {"evolve": {"t_end": float("inf")}}, {"ensemble": {"t_end": float("inf")}},
 ])
 def test_bad_integrator_settings_are_config_errors(tmp_path, setting):
     (scenario, bad), = setting.items()

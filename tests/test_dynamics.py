@@ -197,6 +197,18 @@ def test_integrator_config_validation():
         IntegratorConfig(t_end=1.0, dt=-0.1)
     with pytest.raises(ValueError):
         IntegratorConfig(t_end=1.0, scheme="euler")
+    for settings, key in [
+        ({"t_end": np.inf}, "t_end"), ({"t_end": np.nan}, "t_end"), ({"dt": np.inf}, "dt"),
+        ({"scheme": "rkf45", "abs_tol": -1.0}, "abs_tol"),
+        ({"scheme": "rkf45", "rel_tol": np.nan}, "rel_tol"),
+        ({"scheme": "rkf45", "abs_tol": np.inf}, "abs_tol"),
+        ({"scheme": "rkf45", "abs_tol": 0.0, "rel_tol": 0.0}, "abs_tol and rel_tol"),
+    ]:
+        with pytest.raises(ValueError, match=key):
+            IntegratorConfig(**{"t_end": 1.0, **settings})
+    # either tolerance alone may be 0
+    IntegratorConfig(t_end=1.0, scheme="rkf45", abs_tol=0.0)
+    IntegratorConfig(t_end=1.0, scheme="rkf45", rel_tol=0.0)
 
 
 # -- fixed points --------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,10 +22,10 @@ from momflow import (
     sample_initial,
     uniform_distribution,
 )
-from momflow import core
+from momflow import core, ensemble
 from momflow.core import _STATE_BATCH, NATURAL_UNITS, substream_rng
-from momflow.dynamics import _integrate
-from momflow.ensemble import REASON_LABELS
+from momflow.dynamics import NEAR_NODE, STEP_UNDERFLOW, _integrate
+from momflow.ensemble import _BLOCK_BYTES, REASON_LABELS, _blocks
 from momflow.errors import EmptyRegion, RegionOverlapsSingularity, TimeOutOfRange, ZeroMass
 
 FIELD = qho_field(1)
@@ -384,6 +385,72 @@ def test_aggregates_ignore_member_order():
     direct, _ = np.histogram(xs, edges)
     permuted, _ = np.histogram(np.random.default_rng(3).permutation(xs), edges)
     assert np.array_equal(direct, permuted)
+
+
+def level2_spec(count, scheme, dt=1e-2, t_end=2.0, snapshots=21, region=(0.75, 2.0)):
+    extra = {"dt_min": 1e-3} if scheme == "rkf45" else {}
+    return EnsembleSpec(count=count, region=region, distribution=uniform_distribution(),
+                        seed=SeedSpec(11), snapshots=snapshots,
+                        integrator=IntegratorConfig(t_end=t_end, dt=dt, scheme=scheme, **extra))
+
+
+@pytest.mark.parametrize("level, spec, cap, retire, lands", [
+    # level 2, node at 0.707: members retire near it at the first step and
+    # near t = 1.25 (rkf45: by step underflow), in blocks of 61 and a last of 57
+    (2, level2_spec(301, "rk4"), 64, (NEAR_NODE,), False),
+    (2, level2_spec(301, "rkf45"), 64, (NEAR_NODE, STEP_UNDERFLOW), False),
+    # snapshots closer than dt: each rkf45 round lands every member, and a
+    # member that lags one snapshot behind lands in the same round as the rest
+    (2, level2_spec(301, "rkf45", dt=0.1, snapshots=401, region=(0.8, 2.0)), 64, (), True),
+    (1, make_spec(count=_BLOCK_BYTES // 16 + 37, t_end=0.05, dt=1e-2, snapshots=3), None, (),
+     False),
+], ids=["rk4", "rkf45", "rkf45-landing", "rk4-real-cap"])
+def test_blocked_evolution_equals_whole_batch(monkeypatch, level, spec, cap, retire, lands):
+    field = qho_field(level)
+    if cap is not None:
+        monkeypatch.setattr(ensemble, "_BLOCK_BYTES", cap * 16)
+    blocks = _blocks(spec.count, 1)
+    assert len(blocks) > 1 and blocks[-1][1] - blocks[-1][0] < blocks[0][1] - blocks[0][0]
+    landings = []  # whole blocks landing in one round on different snapshots
+
+    def integrate(field, x0, config, times, units, land):
+        def spy(k, ids, rows):
+            if len(ids) == len(x0) and len(np.unique(k)) > 1:
+                landings.append(len(ids))
+            land(k, ids, rows)
+        return _integrate(field, x0, config, times, units, spy)
+
+    monkeypatch.setattr(ensemble, "_integrate", integrate)
+    blocked = evolve_ensemble(field, POT, spec)
+    assert landings or not lands
+    for reason in retire:
+        hit = [np.any(blocked.termination_reason[lo:hi] == reason) for lo, hi in blocks]
+        assert sum(hit) > 1, REASON_LABELS[reason]
+    if retire:
+        assert not np.all(blocked.completed[blocks[-1][0]:])
+
+    monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 16 * spec.count)
+    whole = evolve_ensemble(field, POT, spec)
+    for name in ("positions", "energies", "termination_time", "termination_reason", "steps"):
+        assert np.array_equal(getattr(blocked, name), getattr(whole, name), equal_nan=True), name
+
+
+def test_evolution_memory_is_bounded_by_the_block():
+    # numpy reports its allocations to tracemalloc.  Beyond the snapshots
+    # and energies, a run of 4 blocks of members peaks at about 9 blocks'
+    # worth, 6.5 of them the temporaries of drawing the starts; stepping
+    # the whole batch at once peaked at over 30.
+    block = _BLOCK_BYTES
+    spec = make_spec(count=4 * block // 16, t_end=0.05, dt=1e-2, snapshots=2)
+    evolve_ensemble(FIELD, POT, spec)  # warm up lazily built tables
+    tracemalloc.start()
+    try:
+        result = evolve_ensemble(FIELD, POT, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.completion_fraction == 1.0
+    assert peak - result.positions.nbytes - result.energies.nbytes < 16 * block
 
 
 def test_shared_step_rkf45_runs_a_small_ensemble():
