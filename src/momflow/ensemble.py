@@ -236,12 +236,7 @@ def evolve_ensemble(field: MomentumField, potential: PotentialField, spec: Ensem
         block = positions[:, lo:hi]
 
         def land(k, ids, rows):
-            # rk4 lands the whole block with a scalar k while no member has
-            # retired; rkf45's k is per member even when every member lands
-            if np.ndim(k) == 0 and len(ids) == hi - lo:
-                block[k] = rows
-            else:
-                block[k, ids] = rows
+            block[k, ids] = rows
 
         last, term_time[lo:hi], term_reason[lo:hi], steps = _integrate(
             field, block[0], spec.integrator, times, units, land)
