@@ -77,7 +77,6 @@ from .twobody import (
     force_norm_invariant,
     matrix_delta_e,
     rotation_matrix,
-    spin_rotation_momentum,
     spinning_pair,
     spinning_pair_history,
     stencil_derivative,

@@ -1,16 +1,19 @@
 """Command-line front end.
 
-One JSON config document describes one run; the subcommand names the
-scenario (field-scan, evolve, ensemble, reconstruct, twobody, oracle)
-and must agree with the config's ``scenario`` field when both are
-given.  A few stable flags (--seed, --dt, --t-end, --out, --format,
---svg) override their config counterparts; --seed applies only to the
-ensemble scenario, the one that draws random numbers, and is a config
-error elsewhere.
+One JSON config describes one run; the subcommand names the scenario
+(field-scan, evolve, ensemble, reconstruct, twobody, oracle) and must
+agree with the config's ``scenario``.  Each block is resolved against a
+table of its keys, one table per ``kind`` where the kind decides them:
+an unknown key is a config error naming its path and the closest known
+key, and a missing key takes its default.  ``x0`` and ``amplitude`` take
+a number or an ``[re, im]`` pair.  --out, --format and --svg override
+their config counterparts; --seed, --dt and --t-end set their key only
+where the resolved block has it, and are a config error elsewhere.
 
-Every run writes a machine-readable ``summary.json`` (even on failure
-paths, except when the config itself cannot be parsed).  Exit codes:
-0 success, 1 usage/config error, 2 a physics invariant check failed.
+Every run writes ``summary.json`` (unless the config's top level cannot
+be parsed) with the ``resolved_config`` and the ``config_hash`` covering
+it.  Exit codes: 0 success, 1 usage/config error, 2 a physics invariant
+check failed.
 """
 
 from __future__ import annotations
@@ -18,11 +21,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.polynomial import Hermite
 
 from . import __version__
 from .core import NATURAL_UNITS, SeedSpec, UnitSystem
@@ -47,6 +52,7 @@ from .fields import (
 from .gridsolver import Grid1D, field_from_grid, solve_schrodinger_1d
 from .twobody import (
     RotationMomentum,
+    SpinningPairParams,
     force_norm_invariant,
     matrix_delta_e,
     spinning_pair_history,
@@ -65,9 +71,168 @@ class ConfigError(Exception):
     """Config validation failure; the message names the offending field."""
 
 
+# -- config tables ----------------------------------------------------------------
+# A table maps each key of a block to (check, default).  A check takes
+# (value, where) and returns the resolved JSON-native value or raises
+# ConfigError.  Defaults go through the check: _REQUIRED marks a key
+# without one, None a key left out unless given, and a callable computes
+# it from the keys resolved before it.
+
+_REQUIRED = object()
+
+
+def _resolve(table: dict, block, where: str) -> dict:
+    """``block`` checked against ``table``, unknown keys refused, defaults filled in."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where}: expected an object, got {block!r}")
+    for key in block:
+        if key not in table:
+            import difflib
+
+            close = difflib.get_close_matches(str(key), list(table), n=1)
+            hint = f"did you mean {close[0]!r}?" if close else f"known keys: {', '.join(table)}"
+            raise ConfigError(f"{where}.{key}: unknown key; {hint}")
+    resolved = {}
+    for key, (check, default) in table.items():
+        if key in block:
+            resolved[key] = check(block[key], f"{where}.{key}")
+        elif default is _REQUIRED:
+            raise ConfigError(f"{where}.{key}: required field is missing")
+        elif default is not None:
+            value = default(resolved) if callable(default) else default
+            resolved[key] = check(value, f"{where}.{key}")
+    return resolved
+
+
+def _check(accept, expected, convert=lambda value: value):
+    def check(value, where):
+        if accept(value):
+            return convert(value)
+        raise ConfigError(f"{where}: expected {expected}, got {value!r}")
+    return check
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_number = _check(lambda v: _is_number(v) and abs(v) <= sys.float_info.max,
+                 "a finite number", float)
+_string = _check(lambda v: isinstance(v, str), "a string")
+_boolean = _check(lambda v: isinstance(v, bool), "true or false")
+
+
+def _integer(lo=None):
+    return _check(lambda v: _is_number(v) and isinstance(v, int) and (lo is None or v >= lo),
+                  "an integer" if lo is None else f"an integer >= {lo}")
+
+
+def _choice(*options):
+    return _check(lambda v: isinstance(v, str) and v in options, f"one of {', '.join(options)}")
+
+
+def _list(item, lo, hi, expected):
+    """Check of a list of ``lo`` to ``hi`` values, each resolved by ``item``."""
+    whole = _check(lambda v: isinstance(v, list) and lo <= len(v) <= hi, expected)
+    return lambda value, where: [item(v, f"{where}[{i}]")
+                                 for i, v in enumerate(whole(value, where))]
+
+
+_pair = _list(_number, 2, 2, "a pair of numbers")
+_complex_pair = _list(_number, 2, 2, "a number or an [re, im] pair of numbers")
+
+
+def _complex(value, where):
+    """A number or an [re, im] pair, resolved to [re, im]."""
+    return [_number(value, where), 0.0] if _is_number(value) else _complex_pair(value, where)
+
+
+def _block(table):
+    return lambda value, where: _resolve(table, value, where)
+
+
+def _kinds(tables):
+    """Check of a block whose ``kind`` picks its table; the first kind is the default."""
+    kind_check = _choice(*tables)
+    default = next(iter(tables))
+
+    def check(value, where):
+        kind = value.get("kind", default) if isinstance(value, dict) else default
+        kind = kind_check(kind, f"{where}.kind")
+        return _resolve({"kind": (kind_check, kind), **tables[kind]}, value, where)
+    return check
+
+
+_FIELD = _kinds({"qho": {"level": (_integer(0), 1)}})
+_POTENTIAL = _kinds({
+    "harmonic": {},
+    "polynomial": {"coefficients": (_list(_number, 1, math.inf, "a non-empty list of numbers"),
+                                    _REQUIRED)},
+    "zero": {},
+    "constant": {"value": (_number, _REQUIRED)},
+})
+_PHYSICS = {"field": (_FIELD, {}), "potential": (_POTENTIAL, {})}
+_STEPPING = {"scheme": (_string, "rk4"), "dt": (_number, 1e-3)}
+
+_TABLES = {
+    "field-scan": _block({
+        **_PHYSICS, "region": (_pair, [0.1, 5.0]), "samples": (_integer(), 1000),
+        "tol": (_number, 1e-9),
+    }),
+    "evolve": _block({
+        **_PHYSICS, "x0": (_complex, 1.0), "t_end": (_number, _REQUIRED), **_STEPPING,
+        "max_displacement_tol": (_number, None),
+    }),
+    "ensemble": _block({
+        **_PHYSICS, "count": (_integer(), 1000), "region": (_pair, _REQUIRED),
+        "distribution": (_block({"kind": (_string, "uniform"), "mean": (_number, 0.0),
+                                 "sigma": (_number, 1.0)}), {}),
+        "seed": (_integer(), 0), "t_end": (_number, 5.0), **_STEPPING,
+        "dump_trajectories": (_boolean, False), "bins": (_integer(1), 40),
+        "histogram_times": (_list(_number, 0, math.inf, "a list of numbers"),
+                            lambda p: [p["t_end"]]),
+        "born_reference": (_FIELD, None),
+    }),
+    "reconstruct": _block({
+        "field": (_FIELD, {}),
+        "path": (_block({"start": (_number, 0.5), "stop": (_number, 4.0),
+                         "nodes": (_integer(2), 36)}), {}),
+        "amplitude": (_complex, 1.0),
+    }),
+    "twobody": _kinds({
+        "spinning": {
+            "tol": (_number, 1e-6), "radius": (_number, 1.0), "gamma": (_number, 1.0),
+            "mass": (_number, 1.0), "p1_0": (_pair, [0.0, 0.0]), "p2_0": (_pair, [0.0, 0.0]),
+            "dt": (_number, 1e-3), "samples": (_integer(1), 1000),
+            "closed_form_derivatives": (_boolean, True),
+        },
+        "rotation": {
+            "tol": (_number, 1e-6), "rate": (_number, 1.0),
+            "amplitudes": (_list(_number, 1, 3, "one to three numbers"), [1.0, 1.0, 1.0]),
+            "t_end": (_number, 1.0), "samples": (_integer(1), 200),
+        },
+    }),
+    "oracle": _block({
+        "potential": (_POTENTIAL, {}), "x_min": (_number, -8.0), "x_max": (_number, 8.0),
+        "points": (_integer(), 2000), "states": (_integer(), 3),
+        "field_check": (_boolean, False), "check_lo": (_number, -2.0),
+        "check_hi": (_number, 2.0), "check_tol": (_number, 1e-4),
+    }),
+}
+
+_TOP = {
+    "scenario": (_choice(*SCENARIOS), _REQUIRED),
+    "units": (_block({"hbar": (_number, 1.0), "mass": (_number, 1.0),
+                      "omega": (_number, 1.0)}), {}),
+    "out_dir": (_string, "."),
+    "formats": (_list(_choice("csv", "json"), 0, math.inf, "a list of formats"), ["csv", "json"]),
+    "svg": (_boolean, False),
+}
+
+
 @dataclass
 class RunConfig:
-    """Validated run description: scenario, units, outputs, parameters."""
+    """Resolved run description: scenario, units, outputs, parameters."""
 
     scenario: str
     units: UnitSystem = NATURAL_UNITS
@@ -93,123 +258,44 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _expect(block: dict, key: str, kind, where: str, default=None, required=False):
-    if key not in block:
-        if required:
-            raise ConfigError(f"{where}.{key}: required field is missing")
-        return default
-    value = block[key]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
-        return float(value)
-    if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{where}.{key}: expected an integer, got {value!r}")
-        return value
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{where}.{key}: expected true/false, got {value!r}")
-        return value
-    if kind is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{where}.{key}: expected a string, got {value!r}")
-        return value
-    if kind is list:
-        if not isinstance(value, list):
-            raise ConfigError(f"{where}.{key}: expected a list, got {value!r}")
-        return value
-    if kind is dict:
-        if not isinstance(value, dict):
-            raise ConfigError(f"{where}.{key}: expected an object, got {value!r}")
-        return value
-    raise AssertionError(kind)
-
-
-def _interval(block: dict, where: str, default=None, required=False) -> tuple:
-    """``block["region"]`` as a (lo, hi) pair of floats."""
-    region = _expect(block, "region", list, where, default=default, required=required)
-    if len(region) != 2 or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                                   for v in region):
-        raise ConfigError(f"{where}.region: expected two numbers [lo, hi], got {region!r}")
-    return float(region[0]), float(region[1])
-
-
 def load_config(path) -> RunConfig:
-    """Parse and validate a JSON run configuration."""
-    text = Path(path).read_text(encoding="utf-8")
-    data = json.loads(text)
-    return config_from_dict(data)
+    """Parse and resolve a JSON run configuration."""
+    return config_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def config_from_dict(data: dict) -> RunConfig:
+def _top_level(data) -> RunConfig:
+    """``data``'s top level resolved; its scenario block is kept unresolved in ``params``."""
     if not isinstance(data, dict):
-        raise ConfigError("top level: expected a JSON object")
-    scenario = _expect(data, "scenario", str, "config", required=True)
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"config.scenario: unknown scenario {scenario!r}; "
-                          f"expected one of {', '.join(SCENARIOS)}")
-    units_block = _expect(data, "units", dict, "config", default={})
+        raise ConfigError("config: expected a JSON object")
+    scenario = _choice(*SCENARIOS)(data.get("scenario"), "config.scenario")
+    key = scenario.replace("-", "_")
+    top = _resolve({**_TOP, key: (_check(lambda v: isinstance(v, dict), "an object"), {})},
+                   data, "config")
     try:
-        units = UnitSystem(
-            hbar=_expect(units_block, "hbar", float, "units", default=1.0),
-            mass=_expect(units_block, "mass", float, "units", default=1.0),
-            omega=_expect(units_block, "omega", float, "units", default=1.0))
+        units = UnitSystem(**top["units"])
     except ValueError as exc:
-        raise ConfigError(f"units: {exc}") from exc
-    formats = tuple(_expect(data, "formats", list, "config", default=["csv", "json"]))
-    for fmt in formats:
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"config.formats: unknown format {fmt!r}")
-    block_key = scenario.replace("-", "_")
-    params = _expect(data, block_key, dict, "config", default={})
-    return RunConfig(
-        scenario=scenario, units=units,
-        out_dir=_expect(data, "out_dir", str, "config", default="."),
-        formats=formats,
-        svg=_expect(data, "svg", bool, "config", default=False),
-        params=params)
+        raise ConfigError(f"config.units: {exc}") from exc
+    return RunConfig(scenario=scenario, units=units, out_dir=top["out_dir"],
+                     formats=tuple(top["formats"]), svg=top["svg"], params=top[key])
 
 
-def _complex_from(value, where):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2:
-        return complex(value[0], value[1])
-    raise ConfigError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+def _resolve_block(cfg: RunConfig, block) -> RunConfig:
+    return replace(cfg, params=_TABLES[cfg.scenario](block, cfg.scenario.replace("-", "_")))
 
 
-def _build_field(block, units, where):
-    kind = _expect(block, "kind", str, where, default="qho")
-    if kind == "qho":
-        return qho_field(_expect(block, "level", int, where, default=1), units)
-    raise ConfigError(f"{where}.kind: unknown field kind {kind!r}")
+def config_from_dict(data) -> RunConfig:
+    """Resolve a config document against the tables; raises ConfigError."""
+    cfg = _top_level(data)
+    return _resolve_block(cfg, cfg.params)
 
 
-def _build_potential(block, units, where):
-    kind = _expect(block, "kind", str, where, default="harmonic")
-    if kind == "harmonic":
-        return harmonic_potential(units)
+def _potential(block, units):
+    kind = block["kind"]
     if kind == "polynomial":
-        coeffs = _expect(block, "coefficients", list, where, required=True)
-        return polynomial_potential(coeffs)
-    if kind == "zero":
-        return zero_potential()
+        return polynomial_potential(block["coefficients"])
     if kind == "constant":
-        return constant_potential(_expect(block, "value", float, where, required=True))
-    raise ConfigError(f"{where}.kind: unknown potential kind {kind!r}")
-
-
-def _integrator(block, where, default_t_end=None):
-    t_end = _expect(block, "t_end", float, where,
-                    default=default_t_end, required=default_t_end is None)
-    try:
-        return IntegratorConfig(
-            t_end=t_end,
-            scheme=_expect(block, "scheme", str, where, default="rk4"),
-            dt=_expect(block, "dt", float, where, default=1e-3))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        return constant_potential(block["value"])
+    return harmonic_potential(units) if kind == "harmonic" else zero_potential()
 
 
 # -- scenario runners -----------------------------------------------------------
@@ -217,15 +303,9 @@ def _integrator(block, where, default_t_end=None):
 
 def _run_field_scan(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     p = cfg.params
-    field = _build_field(_expect(p, "field", dict, "field_scan", default={}),
-                         cfg.units, "field_scan.field")
-    potential = _build_potential(_expect(p, "potential", dict, "field_scan", default={}),
-                                 cfg.units, "field_scan.potential")
-    report = energy_constancy_scan(
-        field, potential, _interval(p, "field_scan", default=[0.1, 5.0]),
-        samples=_expect(p, "samples", int, "field_scan", default=1000),
-        tol=_expect(p, "tol", float, "field_scan", default=1e-9),
-        units=cfg.units)
+    field = qho_field(p["field"]["level"], cfg.units)
+    report = energy_constancy_scan(field, _potential(p["potential"], cfg.units), p["region"],
+                                   samples=p["samples"], tol=p["tol"], units=cfg.units)
     summary = reports.scan_report_json(report)
     if "csv" in cfg.formats:
         reports.scan_report_csv(report, out / "field_scan.csv",
@@ -240,29 +320,22 @@ def _run_field_scan(cfg: RunConfig, out: Path) -> tuple[int, dict]:
 
 def _run_evolve(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     p = cfg.params
-    field = _build_field(_expect(p, "field", dict, "evolve", default={}),
-                         cfg.units, "evolve.field")
-    potential = _build_potential(_expect(p, "potential", dict, "evolve", default={}),
-                                 cfg.units, "evolve.potential")
-    x0 = _complex_from(p.get("x0", 1.0), "evolve.x0")
-    config = _integrator(p, "evolve")
-    drift_tol = _expect(p, "max_displacement_tol", float, "evolve")
+    field = qho_field(p["field"]["level"], cfg.units)
+    x0 = complex(*p["x0"])
+    config = IntegratorConfig(p["t_end"], p["scheme"], p["dt"])
+    drift_tol = p.get("max_displacement_tol")
     halt = None
     try:
-        traj = evolve(field, potential, x0, config, cfg.units)
+        traj = evolve(field, _potential(p["potential"], cfg.units), x0, config, cfg.units)
     except TrajectoryNearSingularity as exc:
         traj = exc.trajectory
         halt = str(exc)
     displacement = np.abs(traj.positions[:, 0] - traj.positions[0, 0])
     summary = {
-        "x0": reports.complex_pair(x0),
-        "scheme": config.scheme,
-        "dt": config.dt,
-        "t_end": config.t_end,
-        "steps": len(traj) - 1,
+        "x0": reports.complex_pair(x0), "scheme": config.scheme, "dt": config.dt,
+        "t_end": config.t_end, "steps": len(traj) - 1, "halt": halt,
         "final_position": reports.complex_pair(traj.positions[-1, 0]),
         "max_displacement_from_start": float(displacement.max()),
-        "halt": halt,
     }
     status = _EXIT_OK
     if drift_tol is not None and displacement.max() > drift_tol:
@@ -282,63 +355,36 @@ def _run_evolve(cfg: RunConfig, out: Path) -> tuple[int, dict]:
 
 def _run_ensemble(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     p = cfg.params
-    field = _build_field(_expect(p, "field", dict, "ensemble", default={}),
-                         cfg.units, "ensemble.field")
-    potential = _build_potential(_expect(p, "potential", dict, "ensemble", default={}),
-                                 cfg.units, "ensemble.potential")
-    region = _interval(p, "ensemble", required=True)
-    dist_block = _expect(p, "distribution", dict, "ensemble", default={"kind": "uniform"})
-    try:
-        dist = Distribution(
-            kind=_expect(dist_block, "kind", str, "ensemble.distribution", default="uniform"),
-            mean=_expect(dist_block, "mean", float, "ensemble.distribution", default=0.0),
-            sigma=_expect(dist_block, "sigma", float, "ensemble.distribution", default=1.0))
-        spec = EnsembleSpec(
-            count=_expect(p, "count", int, "ensemble", default=1000),
-            region=region,
-            distribution=dist,
-            seed=SeedSpec(_expect(p, "seed", int, "ensemble", default=0)),
-            integrator=_integrator(p, "ensemble", default_t_end=5.0))
-    except ValueError as exc:
-        raise ConfigError(f"ensemble: {exc}") from exc
-    count = spec.count
-    if _expect(p, "dump_trajectories", bool, "ensemble", default=False) and count > 100_000:
+    spec = EnsembleSpec(count=p["count"], region=tuple(p["region"]),
+                        distribution=Distribution(**p["distribution"]), seed=SeedSpec(p["seed"]),
+                        integrator=IntegratorConfig(p["t_end"], p["scheme"], p["dt"]))
+    if p["dump_trajectories"] and spec.count > 100_000:
         raise ConfigError("ensemble.dump_trajectories: refusing per-member dumps "
                           "for more than 100000 members")
-    bins = _expect(p, "bins", int, "ensemble", default=40)
-    if bins < 1:
-        raise ConfigError(f"ensemble.bins: expected at least 1, got {bins!r}")
-    hist_times = _expect(p, "histogram_times", list, "ensemble", default=[spec.integrator.t_end])
-    if not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in hist_times):
-        raise ConfigError(f"ensemble.histogram_times: expected a list of numbers, "
-                          f"got {hist_times!r}")
-    born_block = _expect(p, "born_reference", dict, "ensemble")
-    if born_block is not None:
-        level = _expect(born_block, "level", int, "ensemble.born_reference", default=1)
-        if level < 0:
-            raise ConfigError(f"ensemble.born_reference.level: expected at least 0, got {level}")
+    born_psi = None
+    if "born_reference" in p:
+        a = cfg.units.mass * cfg.units.omega / cfg.units.hbar
+        h_n = Hermite.basis(p["born_reference"]["level"])
 
-    result = evolve_ensemble(field, potential, spec, cfg.units)
+        def born_psi(x):
+            return h_n(np.sqrt(a) * x) * np.exp(-0.5 * a * x * x)
+
+    result = evolve_ensemble(qho_field(p["field"]["level"], cfg.units),
+                             _potential(p["potential"], cfg.units), spec, cfg.units)
     summary = reports.ensemble_summary(result)
     summary["seed"] = spec.seed.master_seed
 
     meta = reports.standard_metadata(seed=spec.seed.master_seed,
                                      config_hash=cfg.config_hash)
     summary["histograms"] = []
-    for t in hist_times:
-        hist = density_histogram(result, float(t), bins)
+    for t in p["histogram_times"]:
+        hist = density_histogram(result, t, p["bins"])
         entry = {
             "t": hist.time,
             "off_axis_count": hist.off_axis_count,
             "terminated_count": hist.terminated_count,
         }
-        if born_block is not None:
-            a = cfg.units.mass * cfg.units.omega / cfg.units.hbar
-            from .fields import _hermite
-
-            def born_psi(x, _n=level, _a=a):
-                return _hermite(_n, np.sqrt(_a) * x) * np.exp(-0.5 * _a * x * x)
-
+        if born_psi is not None:
             comparison = compare_density_to_born(hist, born_psi)
             hist.born_reference = comparison.reference
             entry["born_l1_distance"] = comparison.l1_distance
@@ -356,10 +402,10 @@ def _run_ensemble(cfg: RunConfig, out: Path) -> tuple[int, dict]:
                                    xlabel="Re x", ylabel="count")
         summary["histograms"].append(entry)
 
-    if _expect(p, "dump_trajectories", bool, "ensemble", default=False):
+    if p["dump_trajectories"]:
         rows = []
         for s, t in enumerate(result.times):
-            for i in range(count):
+            for i in range(spec.count):
                 z = result.positions[s, i, 0]
                 rows.append([i, t, z.real, z.imag])
         reports.write_csv(out / "members.csv", ["member", "t", "re_x", "im_x"], rows, meta)
@@ -368,17 +414,13 @@ def _run_ensemble(cfg: RunConfig, out: Path) -> tuple[int, dict]:
 
 def _run_reconstruct(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     p = cfg.params
-    field = _build_field(_expect(p, "field", dict, "reconstruct", default={}),
-                         cfg.units, "reconstruct.field")
-    path_block = _expect(p, "path", dict, "reconstruct", default={})
-    start = _expect(path_block, "start", float, "reconstruct.path", default=0.5)
-    stop = _expect(path_block, "stop", float, "reconstruct.path", default=4.0)
-    nodes = _expect(path_block, "nodes", int, "reconstruct.path", default=36)
-    amplitude = _complex_from(p.get("amplitude", 1.0), "reconstruct.amplitude")
-    samples = reconstruct_wavefunction(field, np.linspace(start, stop, nodes),
+    path = p["path"]
+    amplitude = complex(*p["amplitude"])
+    samples = reconstruct_wavefunction(qho_field(p["field"]["level"], cfg.units),
+                                       np.linspace(path["start"], path["stop"], path["nodes"]),
                                        amplitude, cfg.units)
     summary = {
-        "path": {"start": start, "stop": stop, "nodes": nodes},
+        "path": dict(path),
         "amplitude": reports.complex_pair(amplitude),
         "first_value": reports.complex_pair(samples.values[0]),
         "last_value": reports.complex_pair(samples.values[-1]),
@@ -397,39 +439,22 @@ def _run_reconstruct(cfg: RunConfig, out: Path) -> tuple[int, dict]:
 
 
 def _run_twobody(cfg: RunConfig, out: Path) -> tuple[int, dict]:
-    from .twobody import SpinningPairParams
-
     p = cfg.params
-    kind = _expect(p, "kind", str, "twobody", default="spinning")
-    tol = _expect(p, "tol", float, "twobody", default=1e-6)
+    tol = p["tol"]
     meta = reports.standard_metadata(config_hash=cfg.config_hash)
-    if kind == "spinning":
-        try:
-            params = SpinningPairParams(
-                radius=_expect(p, "radius", float, "twobody", default=1.0),
-                gamma=_expect(p, "gamma", float, "twobody", default=1.0),
-                mass=_expect(p, "mass", float, "twobody", default=1.0),
-                p1_0=tuple(_expect(p, "p1_0", list, "twobody", default=[0.0, 0.0])),
-                p2_0=tuple(_expect(p, "p2_0", list, "twobody", default=[0.0, 0.0])))
-        except ValueError as exc:
-            raise ConfigError(f"twobody: {exc}") from exc
-        history = spinning_pair_history(
-            params,
-            dt=_expect(p, "dt", float, "twobody", default=1e-3),
-            samples=_expect(p, "samples", int, "twobody", default=1000),
-            closed_form_derivatives=_expect(p, "closed_form_derivatives", bool,
-                                            "twobody", default=True))
+    if p["kind"] == "spinning":
+        params = SpinningPairParams(radius=p["radius"], gamma=p["gamma"], mass=p["mass"],
+                                    p1_0=tuple(p["p1_0"]), p2_0=tuple(p["p2_0"]))
+        history = spinning_pair_history(params, dt=p["dt"], samples=p["samples"],
+                                        closed_form_derivatives=p["closed_form_derivatives"])
         momentum = total_momentum_drift(history)
         force_norm = force_norm_invariant(history)
         passed = momentum.max_abs <= tol and force_norm.constant_within(tol)
         summary = {
-            "kind": "spinning",
+            "kind": "spinning", "tol": tol, "passed": passed,
             "invariant_value": force_norm.mean.real,
             "expected_invariant": 2.0 * (params.mass * params.radius * params.gamma ** 2) ** 2,
-            "force_norm_drift": force_norm.drift,
-            "momentum_drift_max": momentum.max_abs,
-            "tol": tol,
-            "passed": passed,
+            "force_norm_drift": force_norm.drift, "momentum_drift_max": momentum.max_abs,
         }
         if "csv" in cfg.formats:
             reports.invariant_series_csv(force_norm, out / "force_norm.csv", meta)
@@ -446,46 +471,27 @@ def _run_twobody(cfg: RunConfig, out: Path) -> tuple[int, dict]:
                               title="force-norm invariant drift", xlabel="t",
                               ylabel="drift", log_y=True)
         return (_EXIT_OK if passed else _EXIT_INVARIANT), summary
-    if kind == "rotation":
-        rate = _expect(p, "rate", float, "twobody", default=1.0)
-        amplitudes = tuple(_expect(p, "amplitudes", list, "twobody", default=[1.0, 1.0, 1.0]))
-        times = np.linspace(0.0, _expect(p, "t_end", float, "twobody", default=1.0),
-                            _expect(p, "samples", int, "twobody", default=200))
-        series = matrix_delta_e(
-            RotationMomentum(amplitudes, rate, +1),
-            RotationMomentum(amplitudes, rate, -1), times, cfg.units)
-        passed = series.max_abs <= tol
-        summary = {"kind": "rotation", "max_norm": series.max_abs, "tol": tol,
-                   "passed": passed}
-        if "csv" in cfg.formats:
-            reports.invariant_series_csv(series, out / "matrix_delta_e.csv", meta)
-        return (_EXIT_OK if passed else _EXIT_INVARIANT), summary
-    raise ConfigError(f"twobody.kind: unknown kind {kind!r}")
+    amplitudes = tuple(p["amplitudes"])
+    series = matrix_delta_e(
+        RotationMomentum(amplitudes, p["rate"], +1), RotationMomentum(amplitudes, p["rate"], -1),
+        np.linspace(0.0, p["t_end"], p["samples"]), cfg.units)
+    passed = series.max_abs <= tol
+    summary = {"kind": "rotation", "max_norm": series.max_abs, "tol": tol, "passed": passed}
+    if "csv" in cfg.formats:
+        reports.invariant_series_csv(series, out / "matrix_delta_e.csv", meta)
+    return (_EXIT_OK if passed else _EXIT_INVARIANT), summary
 
 
 def _run_oracle(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     p = cfg.params
-    potential = _build_potential(_expect(p, "potential", dict, "oracle", default={}),
-                                 cfg.units, "oracle.potential")
-    try:
-        grid = Grid1D(
-            x_min=_expect(p, "x_min", float, "oracle", default=-8.0),
-            x_max=_expect(p, "x_max", float, "oracle", default=8.0),
-            points=_expect(p, "points", int, "oracle", default=2000))
-        pairs = solve_schrodinger_1d(potential, grid,
-                                     _expect(p, "states", int, "oracle", default=3),
-                                     cfg.units)
-    except ValueError as exc:
-        raise ConfigError(f"oracle: {exc}") from exc
+    potential = _potential(p["potential"], cfg.units)
+    grid = Grid1D(x_min=p["x_min"], x_max=p["x_max"], points=p["points"])
+    pairs = solve_schrodinger_1d(potential, grid, p["states"], cfg.units)
     summary = reports.eigenpairs_json(grid, pairs)
-    if _expect(p, "field_check", bool, "oracle", default=False):
+    if p["field_check"]:
         field = field_from_grid(pairs[0], grid, cfg.units)
-        lo = _expect(p, "check_lo", float, "oracle", default=-2.0)
-        hi = _expect(p, "check_hi", float, "oracle", default=2.0)
-        report = energy_constancy_scan(field, potential, (lo, hi), samples=400,
-                                       tol=_expect(p, "check_tol", float, "oracle",
-                                                   default=1e-4),
-                                       units=cfg.units)
+        report = energy_constancy_scan(field, potential, (p["check_lo"], p["check_hi"]),
+                                       samples=400, tol=p["check_tol"], units=cfg.units)
         summary["field_check"] = reports.scan_report_json(report)
         if not report.passed:
             return _EXIT_INVARIANT, summary
@@ -510,50 +516,31 @@ _RUNNERS = {
 }
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    params = dict(cfg.params)
-    if args.seed is not None and cfg.scenario == "ensemble":
-        params["seed"] = args.seed
-    if args.dt is not None:
-        params["dt"] = args.dt
-    if args.t_end is not None:
-        params["t_end"] = args.t_end
-    out_dir = args.out if args.out is not None else cfg.out_dir
-    formats = (args.format,) if args.format is not None else cfg.formats
-    svg = True if args.svg else cfg.svg
-    return RunConfig(scenario=cfg.scenario, units=cfg.units, out_dir=out_dir,
-                     formats=formats, svg=svg, params=params)
-
-
-def _summary_head(cfg: RunConfig) -> dict:
-    return {
-        "tool": "momflow",
-        "version": __version__,
-        "scenario": cfg.scenario,
-        "config_hash": cfg.config_hash,
-        "status": "ok",
-    }
+def _write_summary(scenario: str, cfg: RunConfig | None, out_dir, details: dict) -> None:
+    """summary.json in ``out_dir``; ``cfg`` is the resolved config, None if none resolved."""
+    reports.write_json(Path(out_dir) / "summary.json", {
+        "tool": "momflow", "version": __version__, "scenario": scenario, "status": "ok",
+        "config_hash": None if cfg is None else cfg.config_hash,
+        "resolved_config": None if cfg is None else cfg.to_dict(), **details})
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute a validated config; always writes summary.json."""
+    """Execute a resolved config; always writes summary.json.
+
+    A library type's ValueError is a setting it refuses: a config error.
+    """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary = _summary_head(cfg)
     try:
         code, details = _RUNNERS[cfg.scenario](cfg, out)
-        summary.update(details)
         if code == _EXIT_INVARIANT:
-            summary["status"] = "invariant-failed"
-    except ConfigError as exc:
-        summary["status"] = "config-error"
-        summary["error"] = str(exc)
-        code = _EXIT_CONFIG
+            details["status"] = "invariant-failed"
+    except (ConfigError, ValueError) as exc:
+        where = "" if isinstance(exc, ConfigError) else f"{cfg.scenario.replace('-', '_')}: "
+        code, details = _EXIT_CONFIG, {"status": "config-error", "error": f"{where}{exc}"}
     except MomflowError as exc:
-        summary["status"] = "error"
-        summary["error"] = f"{type(exc).__name__}: {exc}"
-        code = _EXIT_CONFIG
-    reports.write_json(out / "summary.json", summary)
+        code, details = _EXIT_CONFIG, {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
+    _write_summary(cfg.scenario, cfg, out, details)
     return code
 
 
@@ -578,7 +565,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = _top_level(json.loads(Path(args.config).read_text(encoding="utf-8")))
     except FileNotFoundError:
         print(f"error: config file not found: {args.config}", file=sys.stderr)
         return _EXIT_CONFIG
@@ -594,12 +581,22 @@ def main(argv=None) -> int:
               f"{args.command!r} subcommand was invoked", file=sys.stderr)
         return _EXIT_CONFIG
 
-    cfg = _apply_overrides(cfg, args)
-    if args.seed is not None and cfg.scenario != "ensemble":
-        summary = _summary_head(cfg)
-        summary["status"] = "config-error"
-        summary["error"] = f"--seed: the {cfg.scenario} scenario draws no random numbers"
-        reports.write_json(Path(cfg.out_dir) / "summary.json", summary)
+    cfg = replace(cfg, out_dir=args.out if args.out is not None else cfg.out_dir,
+                  formats=(args.format,) if args.format is not None else cfg.formats,
+                  svg=args.svg or cfg.svg)
+    flags = {key: getattr(args, key) for key in ("seed", "dt", "t_end")
+             if getattr(args, key) is not None}
+    resolved = None
+    try:
+        resolved = _resolve_block(cfg, cfg.params)
+        for key in flags:
+            if key not in resolved.params:
+                raise ConfigError(f"--{key.replace('_', '-')}: the {cfg.scenario} config "
+                                  f"has no {key!r} setting to override")
+        cfg = _resolve_block(cfg, {**cfg.params, **flags})
+    except ConfigError as exc:
+        _write_summary(cfg.scenario, resolved, cfg.out_dir,
+                       {"status": "config-error", "error": str(exc)})
         code = _EXIT_CONFIG
     else:
         code = run(cfg)

@@ -152,13 +152,10 @@ def stationarity_residual(field: MomentumField, potential: PotentialField, r,
     for a field paired with its own stationary-state potential.
     """
     pts, kind = _as_points(r, field.dimension)
-    field._check(pts)
+    force = force_at(field, potential, pts, units)
     p = field._value_at(pts, check=False)
     jac = field._jacobian_at(pts, check=False)
     convective = np.einsum("nij,nj->ni", jac, p) / units.mass
-    grad_u = potential._gradient_at(pts)
-    lap = field._laplacian_at(pts, check=False)
-    force = -grad_u + 1j * (units.hbar / (2.0 * units.mass)) * lap
     return _restore_vector(convective - force, kind)
 
 

@@ -124,6 +124,12 @@ def _richardson_first(fn, pts, axis, scale=_FIRST_STEP):
     return (4.0 * central(h / 2.0) - central(h)) / 3.0
 
 
+def _richardson_gradient(fn, pts):
+    """``_richardson_first`` along every axis, stacked on a new last axis, as complex."""
+    return np.stack([_richardson_first(fn, pts, j) for j in range(pts.shape[1])],
+                    axis=-1).astype(complex, copy=False)
+
+
 def _richardson_second(fn, pts, axis, scale=_SECOND_STEP):
     """d2(fn)/dx_axis^2 by second central differences, one Richardson level."""
     h = scale * (1.0 + np.linalg.norm(pts, axis=1).real)
@@ -225,11 +231,7 @@ class MomentumField:
             self._check(pts)
         if self._jacobian_fn is not None:
             return np.asarray(self._jacobian_fn(pts), dtype=complex)
-        n, d = pts.shape
-        jac = np.empty((n, d, d), dtype=complex)
-        for j in range(d):
-            jac[:, :, j] = _richardson_first(self._value_fn, pts, j)
-        return jac
+        return _richardson_gradient(self._value_fn, pts)
 
     def _laplacian_at(self, pts, check=True):
         if check:
@@ -434,11 +436,7 @@ def field_from_wavefunction(psi, nodes=(), units: UnitSystem = NATURAL_UNITS,
                     / np.asarray(psi(x), dtype=complex))[:, None]
     else:
         def value(pts):
-            out = np.empty(pts.shape, dtype=complex)
-            base = psi_at(pts)
-            for j in range(pts.shape[1]):
-                out[:, j] = _richardson_first(psi_at, pts, j) / base
-            return -1j * hbar * out
+            return -1j * hbar * (_richardson_gradient(psi_at, pts) / psi_at(pts)[:, None])
 
     jacobian = None
     laplacian = None
@@ -523,10 +521,7 @@ class PotentialField:
     def _gradient_at(self, pts):
         if self._gradient_fn is not None:
             return np.asarray(self._gradient_fn(pts), dtype=complex)
-        out = np.empty(pts.shape, dtype=complex)
-        for j in range(pts.shape[1]):
-            out[:, j] = _richardson_first(self._value_at, pts, j)
-        return out
+        return _richardson_gradient(self._value_at, pts)
 
     def value(self, r):
         pts, kind = _as_points(r, self.dimension)
@@ -609,7 +604,6 @@ class ScanReport:
     points: np.ndarray
     momenta: np.ndarray
     energies: np.ndarray
-    curl_residuals: np.ndarray
     mean_energy: complex
     max_deviation: float
     worst_point: float
@@ -650,10 +644,8 @@ def energy_constancy_scan(field: MomentumField, potential: PotentialField, regio
     mean = complex(energies.mean())
     deviations = np.abs(energies - mean)
     worst = int(np.argmax(deviations))
-    curls = np.full(xs.shape, np.nan)
     return ScanReport(
-        region=(lo, hi), points=xs, momenta=momenta[:, 0], energies=energies,
-        curl_residuals=curls, mean_energy=mean,
+        region=(lo, hi), points=xs, momenta=momenta[:, 0], energies=energies, mean_energy=mean,
         max_deviation=float(deviations[worst]), worst_point=float(xs[worst]),
         tol=float(tol), passed=bool(deviations[worst] <= tol))
 

@@ -92,13 +92,9 @@ def read_csv(path):
 
 
 def scan_report_csv(report, path, metadata=None) -> Path:
-    rows = [
-        [x, p.real, p.imag, e.real, e.imag, c]
-        for x, p, e, c in zip(report.points, report.momenta,
-                              report.energies, report.curl_residuals)
-    ]
-    return write_csv(path, ["x", "re(p)", "im(p)", "re(E)", "im(E)", "curl_residual"],
-                     rows, metadata)
+    rows = [[x, p.real, p.imag, e.real, e.imag]
+            for x, p, e in zip(report.points, report.momenta, report.energies)]
+    return write_csv(path, ["x", "re(p)", "im(p)", "re(E)", "im(E)"], rows, metadata)
 
 
 def scan_report_json(report) -> dict:

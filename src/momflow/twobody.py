@@ -55,7 +55,6 @@ __all__ = [
     "delta_e",
     "component_product",
     "rotation_matrix",
-    "spin_rotation_momentum",
     "matrix_delta_e",
     "coulomb_interaction",
 ]
@@ -406,17 +405,13 @@ class RotationMomentum:
             raise ValueError("one to three momentum components expected")
 
     def matrix(self, t: float, component: int) -> np.ndarray:
+        """The 2x2 matrix momentum p0 * R(+/- alpha t) of one component."""
         return self.amplitudes[component] * rotation_matrix(self.orientation * self.rate * t)
 
     def derivative(self, t: float, component: int) -> np.ndarray:
         theta = self.orientation * self.rate * t
         return (self.amplitudes[component] * self.orientation * self.rate
                 * ROTATION_GENERATOR @ rotation_matrix(theta))
-
-
-def spin_rotation_momentum(rm: RotationMomentum, t: float, component: int = 0) -> np.ndarray:
-    """The 2x2 matrix momentum p0 * R(+/- alpha t) for one component."""
-    return rm.matrix(t, component)
 
 
 def matrix_delta_e(rm1: RotationMomentum, rm2: RotationMomentum, times,

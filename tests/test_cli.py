@@ -288,6 +288,8 @@ VALID_BLOCKS = {
     "evolve": {"x0": [1.0, 0.0], "dt": 0.01, "t_end": 1.0},
     "field-scan": {"samples": 50},
     "ensemble": {"count": 10, "region": [0.8, 1.2], "dt": 0.01, "t_end": 0.1},
+    "reconstruct": {"path": {"nodes": 12}},
+    "twobody": {"kind": "spinning", "samples": 50},
 }
 
 
@@ -298,19 +300,91 @@ VALID_BLOCKS = {
     {"ensemble": {"born_reference": 3}}, {"ensemble": {"histogram_times": ["a"]}},
     {"ensemble": {"bins": 0}}, {"ensemble": {"born_reference": {"level": -1}}},
     {"evolve": {"t_end": float("inf")}}, {"ensemble": {"t_end": float("inf")}},
+    {"evolve": {"x0": ["a", "b"]}}, {"evolve": {"x0": [1, None]}},
+    {"evolve": {"field": {"level": -1}}},
+    {"reconstruct": {"path": {"nodes": 1}}}, {"reconstruct": {"path": {"nodes": -3}}},
+    {"twobody": {"amplitudes": [], "kind": "rotation"}},
+    {"field-scan": {"potential": {"kind": "polynomial", "coefficients": ["a"]}}},
+    {"evolve": {"sheme": "rkf45"}}, {"twobody": {"p1_0": [1.0]}},
+    {"twobody": {"t_end": float("inf"), "kind": "rotation"}},
+    {"field-scan": {"--dt": "0.5"}}, {"field-scan": {"--t-end": "3"}},
 ])
 def test_bad_integrator_settings_are_config_errors(tmp_path, setting):
+    # A "--flag" key is passed on the command line instead of in the block.
     (scenario, bad), = setting.items()
+    flags = [arg for key, value in bad.items() if key.startswith("--") for arg in (key, value)]
+    block = {key: value for key, value in bad.items() if not key.startswith("--")}
     out = tmp_path / "run"
     path = write_config(tmp_path, {
         "scenario": scenario,
         "out_dir": str(out),
-        scenario.replace("-", "_"): {**VALID_BLOCKS[scenario], **bad},
+        scenario.replace("-", "_"): {**VALID_BLOCKS[scenario], **block},
     })
-    assert main([scenario, "--config", str(path)]) == 1
+    assert main([scenario, "--config", str(path), *flags]) == 1
     summary = read_summary(out)
     assert summary["status"] == "config-error"
     assert next(iter(bad)) in summary["error"]
+
+
+def test_unknown_keys_name_their_path_and_the_closest_key():
+    with pytest.raises(ConfigError, match=r"^evolve\.sheme: unknown key; did you mean 'scheme'\?$"):
+        config_from_dict({"scenario": "evolve", "evolve": {"t_end": 1.0, "sheme": "rkf45"}})
+    with pytest.raises(ConfigError, match=r"^ensemble\.distribution\.sigm: .*'sigma'"):
+        config_from_dict({"scenario": "ensemble", "ensemble": {
+            "region": [0.8, 1.2], "distribution": {"kind": "gaussian", "sigm": 0.3}}})
+    with pytest.raises(ConfigError, match=r"^config\.evolve_block: unknown key"):
+        config_from_dict({"scenario": "evolve", "evolve_block": {}})
+    # A kind's table holds only that kind's keys.
+    with pytest.raises(ConfigError, match=r"^twobody\.rate: unknown key"):
+        config_from_dict({"scenario": "twobody", "twobody": {"kind": "spinning", "rate": 2.0}})
+    with pytest.raises(ConfigError, match=r"^oracle\.potential\.value: required"):
+        config_from_dict({"scenario": "oracle", "oracle": {"potential": {"kind": "constant"}}})
+
+
+def test_resolution_fills_defaults_in_json_native_form():
+    cfg = config_from_dict({"scenario": "ensemble", "ensemble": {"region": [1, 2], "t_end": 2}})
+    p = cfg.params
+    assert p["region"] == [1.0, 2.0] and p["t_end"] == 2.0
+    assert p["field"] == {"kind": "qho", "level": 1}
+    assert p["potential"] == {"kind": "harmonic"}
+    assert p["distribution"] == {"kind": "uniform", "mean": 0.0, "sigma": 1.0}
+    assert p["histogram_times"] == [2.0]
+    assert "born_reference" not in p
+    rotation = config_from_dict({"scenario": "twobody", "twobody": {"kind": "rotation"}})
+    assert rotation.params["samples"] == 200 and "dt" not in rotation.params
+    spinning = config_from_dict({"scenario": "twobody", "twobody": {}})
+    assert spinning.params["samples"] == 1000 and "t_end" not in spinning.params
+    # x0 and amplitude take a number or [re, im]; both resolve to the pair.
+    by_number = config_from_dict({"scenario": "evolve", "evolve": {"t_end": 1, "x0": 2}})
+    by_pair = config_from_dict({"scenario": "evolve", "evolve": {"t_end": 1.0, "x0": [2, 0]}})
+    assert by_number.params["x0"] == [2.0, 0.0]
+    assert by_number == by_pair and by_number.config_hash == by_pair.config_hash
+
+
+def test_summary_carries_the_resolved_config_its_hash_covers(tmp_path):
+    out = tmp_path / "run"
+    path = write_config(tmp_path, {"scenario": "reconstruct", "out_dir": str(out),
+                                   "reconstruct": {"path": {"nodes": 12}}})
+    assert main(["reconstruct", "--config", str(path)]) == 0
+    summary = read_summary(out)
+    resolved = summary["resolved_config"]
+    assert resolved["reconstruct"]["path"] == {"start": 0.5, "stop": 4.0, "nodes": 12}
+    assert resolved["reconstruct"]["amplitude"] == [1.0, 0.0]
+    assert config_from_dict(resolved).config_hash == summary["config_hash"]
+
+
+def test_flags_override_only_keys_the_resolved_block_has(tmp_path):
+    out = tmp_path / "run"
+    path = write_config(tmp_path, {"scenario": "twobody", "out_dir": str(out),
+                                   "twobody": {"kind": "rotation", "samples": 20}})
+    assert main(["twobody", "--config", str(path), "--t-end", "0.5"]) == 0
+    assert read_summary(out)["resolved_config"]["twobody"]["t_end"] == 0.5
+    assert main(["twobody", "--config", str(path), "--dt", "0.5"]) == 1
+    summary = read_summary(out)
+    assert summary["status"] == "config-error" and "--dt" in summary["error"]
+    # An overriding value goes through the same checks as the config's own.
+    assert main(["twobody", "--config", str(path), "--t-end", "inf"]) == 1
+    assert "twobody.t_end" in read_summary(out)["error"]
 
 
 def test_run_error_paths_still_write_summary(tmp_path):
@@ -349,8 +423,9 @@ def test_cli_import_leaves_scipy_solvers_unloaded():
     # that need a solver import one.
     src = str(Path(momflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, momflow.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules))")
+    # difflib is only needed to suggest a key for an unknown one.
+    code = ("import sys, momflow.cli; print(sorted(m for m in "
+            "('scipy.optimize', 'scipy.linalg', 'difflib') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"

@@ -29,11 +29,9 @@ def test_csv_round_trip_with_metadata(tmp_path, scan):
     meta, names, rows = reports.read_csv(path)
     assert meta["tool"] == "momflow"
     assert meta["seed"] == "7"
-    assert names == ["x", "re(p)", "im(p)", "re(E)", "im(E)", "curl_residual"]
-    assert rows.shape == (64, 6)
+    assert names == ["x", "re(p)", "im(p)", "re(E)", "im(E)"]
+    assert rows.shape == (64, 5)
     assert np.allclose(rows[:, 3], 1.5)
-    # 1-D scans carry no curl column data
-    assert np.all(np.isnan(rows[:, 5]))
 
 
 def test_csv_is_lf_terminated_utf8(tmp_path, scan):

@@ -15,7 +15,6 @@ from momflow import (
     force_norm_invariant,
     matrix_delta_e,
     rotation_matrix,
-    spin_rotation_momentum,
     spinning_pair,
     spinning_pair_history,
     stencil_derivative,
@@ -262,19 +261,19 @@ def test_component_near_zero_raises():
 
 def test_rotation_momentum_at_time_zero_is_scaled_identity():
     rm = RotationMomentum((1.5,), rate=2.0, orientation=+1)
-    assert np.allclose(spin_rotation_momentum(rm, 0.0), 1.5 * np.eye(2))
+    assert np.allclose(rm.matrix(0.0, 0), 1.5 * np.eye(2))
 
 
 def test_rotation_momentum_quarter_turn():
     rm = RotationMomentum((2.0,), rate=1.0, orientation=+1)
-    quarter = spin_rotation_momentum(rm, np.pi / 2.0)
+    quarter = rm.matrix(np.pi / 2.0, 0)
     assert np.allclose(quarter, 2.0 * np.array([[0.0, -1.0], [1.0, 0.0]]))
 
 
 def test_rotation_momentum_determinant():
     rm = RotationMomentum((0.7,), rate=1.3, orientation=-1)
     for t in (0.0, 0.4, 2.9):
-        m = spin_rotation_momentum(rm, t)
+        m = rm.matrix(t, 0)
         assert np.linalg.det(m) / 0.7 ** 2 == pytest.approx(1.0)
 
 
