@@ -10,10 +10,11 @@ a number or an ``[re, im]`` pair.  --out, --format and --svg override
 their config counterparts; --seed, --dt and --t-end set their key only
 where the resolved block has it, and are a config error elsewhere.
 
-Every run writes ``summary.json`` (unless the config's top level cannot
-be parsed) with the ``resolved_config`` and the ``config_hash`` covering
-it.  Exit codes: 0 success, 1 usage/config error, 2 a physics invariant
-check failed.
+Every run writes ``summary.json`` with the ``resolved_config`` and the
+``config_hash`` covering it, both null when the config does not resolve.
+Only a config that cannot be read, or whose top level is in error and
+names no string ``out_dir`` (nor --out), ends without one.  Exit codes:
+0 success, 1 usage/config error, 2 a physics invariant check failed.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ _STEPPING = {"scheme": (_string, "rk4"), "dt": (_number, 1e-3)}
 
 _TABLES = {
     "field-scan": _block({
-        **_PHYSICS, "region": (_pair, [0.1, 5.0]), "samples": (_integer(), 1000),
+        **_PHYSICS, "region": (_pair, [0.1, 5.0]), "samples": (_integer(2), 1000),
         "tol": (_number, 1e-9),
     }),
     "evolve": _block({
@@ -565,15 +566,23 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        cfg = _top_level(json.loads(Path(args.config).read_text(encoding="utf-8")))
+        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except FileNotFoundError:
         print(f"error: config file not found: {args.config}", file=sys.stderr)
         return _EXIT_CONFIG
     except json.JSONDecodeError as exc:
         print(f"error: {args.config}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
         return _EXIT_CONFIG
+    try:
+        cfg = _top_level(data)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        # the summary goes where the config or --out said the run's outputs go
+        out_dir = args.out if args.out is not None else (
+            data.get("out_dir") if isinstance(data, dict) else None)
+        if isinstance(out_dir, str):
+            _write_summary(args.command, None, out_dir,
+                           {"status": "config-error", "error": str(exc)})
         return _EXIT_CONFIG
 
     if cfg.scenario != args.command:

@@ -4,10 +4,18 @@ A single trajectory cannot exhibit everything the underlying state
 encodes; an ensemble of particles started from random initial points
 does.  Members never interact, so the batch is embarrassingly parallel:
 the stepper shared with ``dynamics.evolve`` advances the members of one
-contiguous block together with vectorized arithmetic, one cache-sized
-block after another, which is simultaneously the fast path and the
-deterministic one (fixed evaluation and reduction order, and step sizes
-controlled per member, so results never depend on blocking or scheduling).
+contiguous cache-sized block together with vectorized arithmetic, and
+the blocks are shared out over every core this process may run on.  The
+calling process evolves one share and forks a worker for each other
+share; the workers write snapshots, energies and outcomes straight into
+anonymous shared memory.  Processes are used, not threads, because a
+step is dozens of small numpy calls and threads would spend their time
+passing the interpreter lock between them.  Forking a process that runs
+other threads can deadlock, so while any other Python thread is alive,
+and on one usable core, every block runs in the calling process.  The
+evaluation and reduction order is fixed and rkf45 controls its step size
+per member, so results are bit-identical however the members are blocked
+and whichever process evolves a block.
 
 Initial points are drawn on the real axis from per-member substreams.
 Seed rule 0 is splitmix64 (``mix_seed``), then numpy's ``SeedSequence``,
@@ -22,6 +30,9 @@ project Re(x) and disclose the off-axis mass instead of hiding it.
 
 from __future__ import annotations
 
+import os
+import pickle
+import threading
 import time
 from dataclasses import dataclass, field as dataclass_field
 
@@ -53,6 +64,14 @@ _OFF_AXIS_CUT = 0.01
 # much complex state (16 384 one-dimensional members), so that a step's
 # dozen block-sized arrays stay in a 2 MB L2 cache.
 _BLOCK_BYTES = 256 * 1024
+# Processes that evolve blocks at once: the cores this process may run on,
+# so taskset and cpusets are honoured.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+# Members are split into blocks for more workers only while every block
+# keeps at least this many.  Each worker pays the fixed numpy cost of every
+# step, and a fork costs ~1 ms: on 2 cores, 2000 steps of 1024 members ran
+# faster forked and 768 members slower, so this keeps a 2x margin.
+_MIN_WORKER_BLOCK = 1000
 
 
 @dataclass(frozen=True)
@@ -163,6 +182,9 @@ class EnsembleResult:
     """Most accepted steps taken by any one member; under rk4 every member
     that completes takes exactly this many."""
     wall_time: float
+    """Seconds spent stepping (and holding retired members in place) by the
+    busiest of the processes that evolved the blocks; sampling and energy
+    recording are not included."""
     metadata: dict = dataclass_field(default_factory=dict)
 
     @property
@@ -200,10 +222,111 @@ class EnsembleResult:
 
 
 def _blocks(count, d):
-    """(lo, hi) bounds of the equal contiguous member blocks, the last one possibly shorter."""
+    """(lo, hi) bounds of the equal contiguous member blocks, the last one possibly shorter.
+
+    A block holds at most ``_BLOCK_BYTES`` of complex state.  The members
+    are split into at least ``_WORKERS`` blocks as long as each keeps
+    ``_MIN_WORKER_BLOCK`` members, and more than one block are always a
+    multiple of ``_WORKERS``, so every worker gets an equal share.
+    """
     cap = max(1, _BLOCK_BYTES // (16 * d))
-    size = -(-count // -(-count // cap))  # ceil(count / ceil(count / cap))
+    n = max(-(-count // cap), min(_WORKERS, count // _MIN_WORKER_BLOCK))
+    if n > 1:
+        n = -(-n // _WORKERS) * _WORKERS
+    size = -(-count // n)  # ceil(count / n)
     return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
+
+
+def _shared(shape, dtype):
+    """A zeroed array in anonymous shared memory, which forked workers write in place."""
+    import mmap  # only evolution needs it, so `import momflow.cli` does not load it
+
+    dtype = np.dtype(dtype)
+    size = int(np.prod(shape))
+    return np.frombuffer(mmap.mmap(-1, size * dtype.itemsize), dtype, size).reshape(shape)
+
+
+def _in_workers(work, count):
+    """Call ``work(b, w)`` for every block b < ``count``, worker w evolving blocks w, w + n, ...
+
+    Of n = min(_WORKERS, count) shares, the calling process runs share 0
+    and forks one worker per other share; it runs a share itself when
+    that fork fails.  It runs every block itself when it cannot fork,
+    when there is one share, or when another Python thread is alive.  A worker's exception is re-raised here with its
+    type and message, or as a RuntimeError carrying its repr when it does
+    not pickle.  Every worker is reaped before this returns or raises;
+    after a failure, or an interrupt, the ones still running are killed.
+    """
+    shares = min(_WORKERS, count)
+    if shares < 2 or not hasattr(os, "fork") or threading.active_count() != 1:
+        for b in range(count):
+            work(b, 0)
+        return
+    children = {}  # pid -> read end of the pipe that carries its exception
+    mine = list(range(0, count, shares))
+    try:
+        for w in range(1, shares):
+            read, write = os.pipe()
+            pipe = os.fdopen(read, "rb")
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the caller runs this share too
+                pipe.close()
+                os.close(write)
+                mine += range(w, count, shares)
+                continue
+            if pid == 0:
+                _worker(work, range(w, count, shares), w, write)
+            children[pid] = pipe
+            os.close(write)
+        for b in mine:
+            work(b, 0)
+        while children:
+            pid, pipe = next(iter(children.items()))
+            with pipe:
+                payload = pipe.read()
+            del children[pid]
+            _, status = os.waitpid(pid, 0)
+            if payload:
+                text, blob = pickle.loads(payload)
+                try:
+                    exc = pickle.loads(blob)
+                except Exception:  # blob is None, or the exception does not unpickle
+                    exc = RuntimeError(f"an ensemble worker raised {text}")
+                raise exc
+            if status:
+                raise RuntimeError("an ensemble worker ended with exit code "
+                                   f"{os.waitstatus_to_exitcode(status)}")
+    finally:
+        if children:
+            import signal
+
+            for pid, pipe in children.items():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _worker(work, blocks, w, pipe):
+    """Evolve ``blocks`` in a forked worker, send any exception through ``pipe``, and end it.
+
+    The worker never returns into the caller's stack: ``os._exit`` also
+    skips the caller's ``atexit`` hooks and its copies of unflushed buffers.
+    """
+    status = 1
+    try:
+        for b in blocks:
+            work(b, w)
+        status = 0
+    except BaseException as exc:  # noqa: B036  (the parent re-raises it; this process ends)
+        try:
+            blob = pickle.dumps(exc)
+        except Exception:  # an unpicklable exception reaches the parent as its repr
+            blob = None
+        with os.fdopen(pipe, "wb") as out:
+            out.write(pickle.dumps((repr(exc), blob)))
+    finally:
+        os._exit(status)
 
 
 def evolve_ensemble(field: MomentumField, potential: PotentialField, spec: EnsembleSpec,
@@ -216,54 +339,54 @@ def evolve_ensemble(field: MomentumField, potential: PotentialField, spec: Ensem
     state in every later snapshot; the batch itself never aborts.  The
     members are stepped, and their energies recorded, in contiguous blocks
     of at most 256 KiB of complex state, with vectorized arithmetic within
-    a block.  Each member's steps depend on its own state
-    only (rkf45 controls its step size per member), so results do not
-    depend on the block or the batch a member is evolved in.
+    a block; the blocks are shared out over the usable cores in forked
+    workers (see the module docstring).  Each member's steps depend on its
+    own state only (rkf45 controls its step size per member), so results
+    do not depend on the block, the batch or the process a member is
+    evolved in.
     """
     d = spec.dimension
     if d != field.dimension:
         raise ValueError("spec and field dimensions disagree")
     times = np.linspace(0.0, spec.integrator.t_end, spec.snapshots)
-    positions = np.empty((spec.snapshots, spec.count, d), dtype=complex)
+    positions = _shared((spec.snapshots, spec.count, d), complex)
     positions[0] = sample_initial(spec, poles=field.poles, tolerance=field.tolerance)
+    energies = _shared((spec.snapshots, spec.count), complex) if record_energy else None
+    term_time = _shared((spec.count,), float)
+    term_reason = _shared((spec.count,), np.int8)
     blocks = _blocks(spec.count, d)
+    steps = _shared((len(blocks),), np.int64)
+    seconds = _shared((_WORKERS,), float)  # stepping time of each worker
+    coeff = 0.5j * units.hbar / units.mass
 
-    start = time.perf_counter()
-    term_time = np.empty(spec.count)
-    term_reason = np.empty(spec.count, dtype=np.int8)
-    steps_taken = 0
-    for lo, hi in blocks:
+    def evolve_block(b, w):
+        lo, hi = blocks[b]
         block = positions[:, lo:hi]
 
         def land(k, ids, rows):
             block[k, ids] = rows
 
-        last, term_time[lo:hi], term_reason[lo:hi], steps = _integrate(
+        start = time.perf_counter()
+        last, term_time[lo:hi], term_reason[lo:hi], steps[b] = _integrate(
             field, block[0], spec.integrator, times, units, land)
-        steps_taken = max(steps_taken, steps)
         # a retired member stays where it stopped in every later snapshot
         stopped = term_time[lo:hi]
         gone = np.flatnonzero(~np.isnan(stopped))
         later, member = np.nonzero(times[:, None] > stopped[gone])
         block[later, gone[member]] = last[gone[member]]
-    wall = time.perf_counter() - start
-
-    energies = None
-    if record_energy:
-        coeff = 0.5j * units.hbar / units.mass
-        energies = np.empty(positions.shape[:2], dtype=complex)
-        for s in range(positions.shape[0]):
-            for lo, hi in blocks:
-                pts = positions[s, lo:hi]
+        seconds[w] += time.perf_counter() - start
+        if energies is not None:
+            for s, pts in enumerate(block):
                 p = field._value_at(pts, check=False)
                 div = np.trace(field._jacobian_at(pts, check=False), axis1=1, axis2=2)
                 u = potential._value_at(pts)
                 energies[s, lo:hi] = (p * p).sum(axis=1) / (2.0 * units.mass) + u - coeff * div
 
+    _in_workers(evolve_block, len(blocks))
     return EnsembleResult(
         spec=spec, times=times, positions=positions, energies=energies,
         termination_time=term_time, termination_reason=term_reason,
-        steps=steps_taken, wall_time=wall,
+        steps=int(steps.max()), wall_time=float(seconds.max()),
         metadata={"scheme": spec.integrator.scheme, "dt": spec.integrator.dt,
                   "t_end": spec.integrator.t_end})
 

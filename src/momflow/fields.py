@@ -626,8 +626,10 @@ def energy_constancy_scan(field: MomentumField, potential: PotentialField, regio
     """
     if field.dimension != 1:
         raise ValueError("energy scans are defined for one-dimensional fields")
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2, got {samples!r}")
     lo, hi = float(region[0]), float(region[1])
-    if not (hi > lo) or samples < 2:
+    if not (hi > lo):
         raise EmptyRegion(f"degenerate scan region {region!r}")
     xs = np.linspace(lo, hi, samples)
     pts = xs.reshape(-1, 1).astype(complex)

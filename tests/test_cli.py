@@ -308,22 +308,39 @@ VALID_BLOCKS = {
     {"evolve": {"sheme": "rkf45"}}, {"twobody": {"p1_0": [1.0]}},
     {"twobody": {"t_end": float("inf"), "kind": "rotation"}},
     {"field-scan": {"--dt": "0.5"}}, {"field-scan": {"--t-end": "3"}},
+    {"field-scan": {"samples": 1}}, {"field-scan": {"samples": -1}},
+    {"evolve": {"config.svgs": True}}, {"evolve": {"config.units": {"hbar": -1.0}}},
+    {"evolve": {"config.units": {"hbar": "a"}}}, {"evolve": {"config.formats": ["xml"]}},
+    {"ensemble": {"config.scenario": "warp"}},
 ])
 def test_bad_integrator_settings_are_config_errors(tmp_path, setting):
-    # A "--flag" key is passed on the command line instead of in the block.
+    # A "--flag" key is passed on the command line instead of in the block,
+    # and a "config.key" key goes to the config's top level.
     (scenario, bad), = setting.items()
     flags = [arg for key, value in bad.items() if key.startswith("--") for arg in (key, value)]
-    block = {key: value for key, value in bad.items() if not key.startswith("--")}
+    top = {key[len("config."):]: value for key, value in bad.items() if key.startswith("config.")}
+    block = {key: value for key, value in bad.items() if not key.startswith(("--", "config."))}
     out = tmp_path / "run"
     path = write_config(tmp_path, {
         "scenario": scenario,
         "out_dir": str(out),
         scenario.replace("-", "_"): {**VALID_BLOCKS[scenario], **block},
+        **top,
     })
     assert main([scenario, "--config", str(path), *flags]) == 1
     summary = read_summary(out)
     assert summary["status"] == "config-error"
     assert next(iter(bad)) in summary["error"]
+    if top:
+        assert summary["resolved_config"] is None and summary["config_hash"] is None
+
+
+def test_top_level_config_error_summary_goes_to_the_out_flag(tmp_path):
+    path = write_config(tmp_path, {"scenario": "evolve", "svgs": True, "evolve": {"t_end": 1.0}})
+    out = tmp_path / "flag"
+    assert main(["evolve", "--config", str(path), "--out", str(out)]) == 1
+    summary = read_summary(out)
+    assert summary["status"] == "config-error" and "config.svgs" in summary["error"]
 
 
 def test_unknown_keys_name_their_path_and_the_closest_key():

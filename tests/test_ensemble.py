@@ -1,3 +1,5 @@
+import os
+import threading
 import time
 import tracemalloc
 
@@ -25,7 +27,7 @@ from momflow import (
 from momflow import core, ensemble
 from momflow.core import _STATE_BATCH, NATURAL_UNITS, substream_rng
 from momflow.dynamics import NEAR_NODE, STEP_UNDERFLOW, _integrate
-from momflow.ensemble import _BLOCK_BYTES, REASON_LABELS, _blocks
+from momflow.ensemble import _BLOCK_BYTES, _MIN_WORKER_BLOCK, REASON_LABELS, _blocks
 from momflow.errors import EmptyRegion, RegionOverlapsSingularity, TimeOutOfRange, ZeroMass
 
 FIELD = qho_field(1)
@@ -406,6 +408,7 @@ def level2_spec(count, scheme, dt=1e-2, t_end=2.0, snapshots=21, region=(0.75, 2
      False),
 ], ids=["rk4", "rkf45", "rkf45-landing", "rk4-real-cap"])
 def test_blocked_evolution_equals_whole_batch(monkeypatch, level, spec, cap, retire, lands):
+    monkeypatch.setattr(ensemble, "_WORKERS", 1)  # the spy cannot see into forked workers
     field = qho_field(level)
     if cap is not None:
         monkeypatch.setattr(ensemble, "_BLOCK_BYTES", cap * 16)
@@ -435,11 +438,13 @@ def test_blocked_evolution_equals_whole_batch(monkeypatch, level, spec, cap, ret
         assert np.array_equal(getattr(blocked, name), getattr(whole, name), equal_nan=True), name
 
 
-def test_evolution_memory_is_bounded_by_the_block():
-    # numpy reports its allocations to tracemalloc.  Beyond the snapshots
-    # and energies, a run of 4 blocks of members peaks at about 9 blocks'
-    # worth, 6.5 of them the temporaries of drawing the starts; stepping
-    # the whole batch at once peaked at over 30.
+def test_evolution_memory_is_bounded_by_the_block(monkeypatch):
+    # numpy reports its allocations to tracemalloc, which sees neither
+    # forked workers nor the shared memory that holds the snapshots and
+    # energies.  A run of 4 blocks of members peaks at about 12.7 blocks'
+    # worth while it steps one block (drawing the starts peaks at 6.5);
+    # stepping the whole batch at once peaked at over 30.
+    monkeypatch.setattr(ensemble, "_WORKERS", 1)
     block = _BLOCK_BYTES
     spec = make_spec(count=4 * block // 16, t_end=0.05, dt=1e-2, snapshots=2)
     evolve_ensemble(FIELD, POT, spec)  # warm up lazily built tables
@@ -450,7 +455,137 @@ def test_evolution_memory_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert result.completion_fraction == 1.0
-    assert peak - result.positions.nbytes - result.energies.nbytes < 16 * block
+    assert peak < 16 * block
+
+
+def test_blocks_give_every_worker_an_equal_share(monkeypatch):
+    monkeypatch.setattr(ensemble, "_WORKERS", 2)
+    assert _blocks(2 * _MIN_WORKER_BLOCK - 1, 1) == [(0, 2 * _MIN_WORKER_BLOCK - 1)]
+    assert _blocks(2 * _MIN_WORKER_BLOCK + 1, 1) == [(0, _MIN_WORKER_BLOCK + 1),
+                                                     (_MIN_WORKER_BLOCK + 1, 2 * _MIN_WORKER_BLOCK + 1)]
+    # 7 blocks under the cache cap become 8, four for each worker
+    assert [hi - lo for lo, hi in _blocks(100_000, 1)] == [12_500] * 8
+    monkeypatch.setattr(ensemble, "_WORKERS", 1)
+    assert len(_blocks(100_000, 1)) == 7
+
+
+def forks_counted(monkeypatch):
+    """Patch os.fork to count its calls; returns the list of calls."""
+    calls, fork = [], os.fork
+
+    def counting_fork():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+RESULT_FIELDS = ("positions", "energies", "termination_time", "termination_reason", "steps")
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+@pytest.mark.parametrize("level, spec, cap, retire", [
+    # 5 blocks under the cap, made a multiple of the workers, with
+    # retirements in the forked workers' shares
+    (2, level2_spec(301, "rk4"), 64, (NEAR_NODE,)),
+    (2, level2_spec(301, "rkf45"), 64, (NEAR_NODE, STEP_UNDERFLOW)),
+    (1, make_spec(count=2 * _MIN_WORKER_BLOCK + 1, t_end=0.05, dt=1e-2, snapshots=3), None, ()),
+], ids=["rk4", "rkf45", "rk4-real-cap"])
+def test_forked_workers_equal_one_process(monkeypatch, level, spec, cap, retire, workers):
+    field = qho_field(level)
+    if cap is not None:
+        monkeypatch.setattr(ensemble, "_BLOCK_BYTES", cap * 16)
+    monkeypatch.setattr(ensemble, "_WORKERS", workers)
+    forks = forks_counted(monkeypatch)
+    forked = evolve_ensemble(field, POT, spec)
+    blocks = _blocks(spec.count, 1)
+    assert len(forks) == min(workers, len(blocks)) - 1 > 0
+    forked_members = np.ones(spec.count, dtype=bool)
+    for lo, hi in blocks[::workers]:  # the caller's share
+        forked_members[lo:hi] = False
+    for reason in retire:
+        retired = forked.termination_reason == reason
+        assert np.any(retired & forked_members), REASON_LABELS[reason]
+    assert forked.wall_time > 0.0
+
+    monkeypatch.setattr(ensemble, "_WORKERS", 1)
+    alone = evolve_ensemble(field, POT, spec)
+    assert len(forks) == min(workers, len(blocks)) - 1
+    for name in RESULT_FIELDS:
+        assert np.array_equal(getattr(forked, name), getattr(alone, name), equal_nan=True), name
+
+
+@pytest.mark.parametrize("raiser, error, expected, message", [
+    ("worker", ZeroDivisionError, ZeroDivisionError, "^no field here$"),
+    ("caller", ZeroDivisionError, ZeroDivisionError, "^no field here$"),
+    ("worker", type("Local", (Exception,), {}), RuntimeError, r"Local\('no field here'\)"),
+    ("worker", lambda message: os._exit(3), RuntimeError, "exit code 3$"),
+], ids=["worker", "caller", "unpicklable", "exit"])
+def test_a_failing_block_raises_in_the_caller_and_leaves_no_child(monkeypatch, raiser, error,
+                                                                  expected, message):
+    caller = os.getpid()
+
+    def value(pts):
+        if (os.getpid() == caller) == (raiser == "caller"):
+            raise error("no field here")
+        return FIELD._value_at(pts, check=False)
+
+    field = MomentumField(1, value, jacobian_fn=lambda pts: FIELD._jacobian_at(pts, check=False),
+                          poles=FIELD.poles, tolerance=FIELD.tolerance)
+    monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 64 * 16)
+    monkeypatch.setattr(ensemble, "_WORKERS", 2)
+    with pytest.raises(expected, match=message):
+        evolve_ensemble(field, POT, make_spec(count=200, t_end=0.5, dt=1e-2))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failed_fork_leaves_its_share_to_the_caller(monkeypatch):
+    spec = level2_spec(301, "rk4")
+    monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 64 * 16)
+    monkeypatch.setattr(ensemble, "_WORKERS", 1)
+    alone = evolve_ensemble(qho_field(2), POT, spec)
+    fork, forks = os.fork, []
+
+    def second_fork_fails():  # one worker forks, the next finds no process to spare
+        forks.append(None)
+        if len(forks) > 1:
+            raise BlockingIOError("Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    monkeypatch.setattr(ensemble, "_WORKERS", 3)
+    strained = evolve_ensemble(qho_field(2), POT, spec)
+    assert len(forks) == 2
+    for name in RESULT_FIELDS:
+        assert np.array_equal(getattr(strained, name), getattr(alone, name), equal_nan=True), name
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_fork_while_another_thread_runs(monkeypatch):
+    spec = level2_spec(301, "rk4")
+    monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 64 * 16)
+    monkeypatch.setattr(ensemble, "_WORKERS", 1)
+    alone = evolve_ensemble(qho_field(2), POT, spec)
+
+    def refuse():
+        raise AssertionError("forked while another thread runs")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(ensemble, "_WORKERS", 2)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, args=(30.0,))
+    other.start()
+    try:
+        threaded = evolve_ensemble(qho_field(2), POT, spec)
+    finally:
+        stop.set()
+        other.join(timeout=30.0)
+    assert not other.is_alive()
+    for name in RESULT_FIELDS:
+        assert np.array_equal(getattr(threaded, name), getattr(alone, name), equal_nan=True), name
 
 
 def test_shared_step_rkf45_runs_a_small_ensemble():

@@ -228,6 +228,13 @@ def test_energy_scan_rejects_degenerate_region():
         energy_constancy_scan(qho_field(1), harmonic_potential(), (2.0, 2.0))
 
 
+@pytest.mark.parametrize("samples", [1, 0, -1])
+def test_energy_scan_blames_a_bad_sample_count_not_the_region(samples):
+    with pytest.raises(ValueError, match="samples") as caught:
+        energy_constancy_scan(qho_field(1), harmonic_potential(), (0.1, 5.0), samples=samples)
+    assert not isinstance(caught.value, EmptyRegion)
+
+
 # -- curl --------------------------------------------------------------------------
 
 
