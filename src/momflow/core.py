@@ -175,6 +175,10 @@ class TolerancePolicy:
     node_guard: float = 1e-6
 
     def __post_init__(self):
+        for name in ("abs_tol", "rel_tol", "node_guard"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"TolerancePolicy.{name} must be finite, got {value!r}")
         if self.abs_tol < 0 or self.rel_tol < 0:
             raise ValueError("tolerances must be non-negative")
         if self.abs_tol + self.rel_tol <= 0:

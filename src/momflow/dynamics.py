@@ -30,11 +30,10 @@ import numpy as np
 from .core import DEFAULT_TOLERANCE, NATURAL_UNITS, TolerancePolicy, UnitSystem
 from .errors import (
     BranchAmbiguity,
-    EmptyRegion,
     StepUnderflow,
     TrajectoryNearSingularity,
 )
-from .fields import MomentumField, PotentialField, _as_points, _restore_vector
+from .fields import MomentumField, PotentialField, _as_points, _axis_samples
 
 __all__ = [
     "PhasePoint",
@@ -135,12 +134,11 @@ class IntegratorConfig:
 def force_at(field: MomentumField, potential: PotentialField, r,
              units: UnitSystem = NATURAL_UNITS):
     """Force F = -grad U + i*(hbar/2m) * (vector Laplacian of p)."""
-    pts, kind = _as_points(r, field.dimension)
+    pts, restore = _as_points(r, field.dimension)
     field._check(pts)
     grad_u = potential._gradient_at(pts)
     lap = field._laplacian_at(pts, check=False)
-    f = -grad_u + 1j * (units.hbar / (2.0 * units.mass)) * lap
-    return _restore_vector(f, kind)
+    return restore(-grad_u + 1j * (units.hbar / (2.0 * units.mass)) * lap)
 
 
 def stationarity_residual(field: MomentumField, potential: PotentialField, r,
@@ -151,12 +149,12 @@ def stationarity_residual(field: MomentumField, potential: PotentialField, r,
     momentum obey the force law along the trajectory, which holds exactly
     for a field paired with its own stationary-state potential.
     """
-    pts, kind = _as_points(r, field.dimension)
+    pts, restore = _as_points(r, field.dimension)
     force = force_at(field, potential, pts, units)
     p = field._value_at(pts, check=False)
     jac = field._jacobian_at(pts, check=False)
     convective = np.einsum("nij,nj->ni", jac, p) / units.mass
-    return _restore_vector(convective - force, kind)
+    return restore(convective - force)
 
 
 # -- integration ---------------------------------------------------------------
@@ -180,15 +178,6 @@ _RKF_A = (
 )
 _RKF_B4 = ((0, 25 / 216), (2, 1408 / 2565), (3, 2197 / 4104), (4, -1 / 5))
 _RKF_ERR = ((0, 1 / 360), (2, -128 / 4275), (3, -2197 / 75240), (4, 1 / 50), (5, 2 / 55))
-
-
-def _as_state(x0, dimension):
-    arr = np.asarray(x0, dtype=complex)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.shape != (dimension,):
-        raise ValueError(f"initial position must have {dimension} component(s)")
-    return arr
 
 
 def _rk4_schedule(times, dt):
@@ -428,7 +417,9 @@ def evolve(field: MomentumField, potential: PotentialField, x0, config: Integrat
     """
     if not field.holomorphic:
         raise ValueError("trajectory evolution needs a field evaluable at complex positions")
-    start = _as_state(x0, field.dimension).reshape(1, -1)
+    start, _ = _as_points(x0, field.dimension)
+    if start.shape[0] != 1:
+        raise ValueError(f"evolve starts from one position, got {start.shape[0]}")
     times, positions, steps = [0.0], [start], []
 
     def keep(t, ids, rows, h):
@@ -521,21 +512,14 @@ def classify_fixed_points(field: MomentumField, potential: PotentialField, regio
     brackets that straddle a pole, refines each bracket by Brent's
     method, and keeps roots with |p| <= momentum_tol.  Each root is
     reported as (x, |F(x)|); a genuine fixed point has both p = 0 and a
-    vanishing force residual.
+    vanishing force residual.  Fewer than 3 samples raise ValueError; an
+    empty region, or one without a usable sample, raises EmptyRegion.
     """
     from scipy.optimize import brentq
 
     if field.dimension != 1:
         raise ValueError("fixed-point scans are defined for 1-D fields")
-    lo, hi = float(region[0]), float(region[1])
-    if not hi > lo or samples < 3:
-        raise EmptyRegion(f"degenerate scan region {region!r}")
-    xs = np.linspace(lo, hi, samples)
-    pts = xs.reshape(-1, 1).astype(complex)
-    keep = field.pole_distances(pts) > field.pole_margin
-    if not np.any(keep):
-        raise EmptyRegion("every sample point sits inside a node-guard neighborhood")
-
+    xs, pts, keep = _axis_samples(field, region, samples, 3)
     p = np.full(xs.shape, np.nan + 0j)
     p[keep] = field._value_at(pts[keep], check=False)[:, 0]
     g = p.imag

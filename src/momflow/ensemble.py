@@ -42,7 +42,7 @@ from .core import (DEFAULT_TOLERANCE, NATURAL_UNITS, SeedSpec, TolerancePolicy, 
                    substream_normals, substream_uniforms)
 from .dynamics import COMPLETED, REASON_LABELS, IntegratorConfig, _integrate
 from .errors import RegionOverlapsSingularity, TimeOutOfRange, ZeroMass
-from .fields import MomentumField, PotentialField, _GL_NODES, _GL_WEIGHTS
+from .fields import MomentumField, PotentialField, _GL_NODES, _GL_WEIGHTS, _energy
 
 __all__ = [
     "Distribution",
@@ -196,7 +196,7 @@ class EnsembleResult:
         return float(np.mean(self.completed))
 
     def snapshot_index(self, t: float) -> int:
-        if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
+        if not self.times[0] - 1e-12 <= t <= self.times[-1] + 1e-12:
             raise TimeOutOfRange(
                 f"t={t:g} outside evolved range [{self.times[0]:g}, {self.times[-1]:g}]")
         return int(np.argmin(np.abs(self.times - t)))
@@ -357,7 +357,6 @@ def evolve_ensemble(field: MomentumField, potential: PotentialField, spec: Ensem
     blocks = _blocks(spec.count, d)
     steps = _shared((len(blocks),), np.int64)
     seconds = _shared((_WORKERS,), float)  # stepping time of each worker
-    coeff = 0.5j * units.hbar / units.mass
 
     def evolve_block(b, w):
         lo, hi = blocks[b]
@@ -377,10 +376,7 @@ def evolve_ensemble(field: MomentumField, potential: PotentialField, spec: Ensem
         seconds[w] += time.perf_counter() - start
         if energies is not None:
             for s, pts in enumerate(block):
-                p = field._value_at(pts, check=False)
-                div = np.trace(field._jacobian_at(pts, check=False), axis1=1, axis2=2)
-                u = potential._value_at(pts)
-                energies[s, lo:hi] = (p * p).sum(axis=1) / (2.0 * units.mass) + u - coeff * div
+                energies[s, lo:hi] = _energy(field, potential, pts, units)
 
     _in_workers(evolve_block, len(blocks))
     return EnsembleResult(

@@ -65,43 +65,25 @@ _MAX_QHO_LEVEL = 10
 def _as_points(r, dimension):
     """Coerce positions to an (n, d) complex array.
 
-    Returns (points, kind) where kind records the caller's shape so
-    results can be handed back in matching form: "scalar" (single 1-D
-    position), "vector" (n separate 1-D positions), "point" (one d-D
-    position), or "matrix" (n d-D positions).
+    Returns (points, restore).  ``restore`` reshapes an (n, ...) result
+    to the caller's leading shape: the shape of ``r`` without its
+    component axis, where a 1-D scalar or 1-D array has none.  The
+    result's own trailing axes are kept unless the caller's component
+    axis was absent, and a 0-d result comes back as a Python scalar.
     """
     arr = np.asarray(r, dtype=complex)
-    if dimension == 1:
-        if arr.ndim == 0:
-            return arr.reshape(1, 1), "scalar"
-        if arr.ndim == 1:
-            return arr.reshape(-1, 1), "vector"
-        if arr.ndim == 2 and arr.shape[1] == 1:
-            return arr, "matrix"
+    if dimension == 1 and arr.ndim < 2:
+        lead, components = arr.shape, False
+    elif arr.ndim in (1, 2) and arr.shape[-1] == dimension:
+        lead, components = arr.shape[:-1], True
     else:
-        if arr.ndim == 1 and arr.shape[0] == dimension:
-            return arr.reshape(1, -1), "point"
-        if arr.ndim == 2 and arr.shape[1] == dimension:
-            return arr, "matrix"
-    raise ValueError(f"cannot interpret shape {arr.shape} as positions in {dimension}-D")
+        raise ValueError(f"cannot interpret shape {arr.shape} as positions in {dimension}-D")
 
+    def restore(values):
+        out = values.reshape(lead + values.shape[1:] if components else lead)
+        return out.item() if out.ndim == 0 else out
 
-def _restore_vector(values, kind):
-    # values has shape (n, d)
-    if kind == "scalar":
-        return complex(values[0, 0])
-    if kind == "vector":
-        return values[:, 0]
-    if kind == "point":
-        return values[0]
-    return values
-
-
-def _restore_scalar(values, kind):
-    # values has shape (n,)
-    if kind in ("scalar", "point"):
-        return complex(values[0])
-    return values
+    return arr.reshape(-1, dimension), restore
 
 
 def _richardson_first(fn, pts, axis, scale=_FIRST_STEP):
@@ -205,8 +187,8 @@ class MomentumField:
         return dist
 
     def pole_distance(self, r):
-        pts, kind = _as_points(r, self.dimension)
-        return _restore_scalar(self.pole_distances(pts), kind).real
+        pts, restore = _as_points(r, self.dimension)
+        return restore(self.pole_distances(pts))
 
     def _check(self, pts):
         if not self.holomorphic and np.any(np.abs(pts.imag) > _OFF_AXIS_TOL):
@@ -247,44 +229,35 @@ class MomentumField:
 
     def value(self, r):
         """p(r); complex scalar for a scalar 1-D position."""
-        pts, kind = _as_points(r, self.dimension)
-        return _restore_vector(self._value_at(pts), kind)
+        pts, restore = _as_points(r, self.dimension)
+        return restore(self._value_at(pts))
 
     def jacobian(self, r):
         """Matrix J[i, j] = d p_i / d x_j."""
-        pts, kind = _as_points(r, self.dimension)
-        jac = self._jacobian_at(pts)
-        if kind == "scalar":
-            return complex(jac[0, 0, 0])
-        if kind == "vector":
-            return jac[:, 0, 0]
-        if kind == "point":
-            return jac[0]
-        return jac
+        pts, restore = _as_points(r, self.dimension)
+        return restore(self._jacobian_at(pts))
 
     def divergence(self, r):
-        pts, kind = _as_points(r, self.dimension)
-        div = np.trace(self._jacobian_at(pts), axis1=1, axis2=2)
-        return _restore_scalar(div, kind)
+        pts, restore = _as_points(r, self.dimension)
+        return restore(np.trace(self._jacobian_at(pts), axis1=1, axis2=2))
 
     def vector_laplacian(self, r):
-        pts, kind = _as_points(r, self.dimension)
-        return _restore_vector(self._laplacian_at(pts), kind)
+        pts, restore = _as_points(r, self.dimension)
+        return restore(self._laplacian_at(pts))
 
     def curl(self, r):
         """Curl of p; scalar in 2-D, vector in 3-D."""
         if self.dimension < 2:
             raise DimensionTooLow("curl needs at least two dimensions")
-        pts, kind = _as_points(r, self.dimension)
+        pts, restore = _as_points(r, self.dimension)
         jac = self._jacobian_at(pts)
         if self.dimension == 2:
-            return _restore_scalar(jac[:, 1, 0] - jac[:, 0, 1], kind)
-        c = np.stack([
+            return restore(jac[:, 1, 0] - jac[:, 0, 1])
+        return restore(np.stack([
             jac[:, 2, 1] - jac[:, 1, 2],
             jac[:, 0, 2] - jac[:, 2, 0],
             jac[:, 1, 0] - jac[:, 0, 1],
-        ], axis=1)
-        return _restore_vector(c, kind)
+        ], axis=1))
 
 
 # -- oscillator eigenstate fields ---------------------------------------------
@@ -414,11 +387,12 @@ def field_from_wavefunction(psi, nodes=(), units: UnitSystem = NATURAL_UNITS,
     higher dimensions it receives (n, d) arrays.  ``nodes`` lists known
     zeros of psi, either as scalars (1-D) or (axis, location) pairs.
 
-    When ``psi_prime`` (and for closed-form derivatives ``psi_second``)
-    are supplied they are used directly; otherwise derivatives come from
-    Richardson-extrapolated central differences and ``derivative_kind``
-    is "numeric-central-difference".  Closed-form derivative callables
-    are honored for dimension 1 only.
+    When ``psi_prime`` is supplied the field uses it directly, and with
+    ``psi_second`` as well so does the Jacobian; every other derivative,
+    the vector Laplacian always included, comes from Richardson-extrapolated
+    central differences, so ``derivative_kind`` is
+    "numeric-central-difference".  Derivative callables are honored for
+    dimension 1 only.
     """
     hbar = units.hbar
 
@@ -439,8 +413,6 @@ def field_from_wavefunction(psi, nodes=(), units: UnitSystem = NATURAL_UNITS,
             return -1j * hbar * (_richardson_gradient(psi_at, pts) / psi_at(pts)[:, None])
 
     jacobian = None
-    laplacian = None
-    kind = "numeric-central-difference"
     if psi_prime is not None and psi_second is not None and dimension == 1:
         def jacobian(pts):
             x = pts[:, 0]
@@ -448,7 +420,6 @@ def field_from_wavefunction(psi, nodes=(), units: UnitSystem = NATURAL_UNITS,
             ld = np.asarray(psi_prime(x), dtype=complex) / base
             curv = np.asarray(psi_second(x), dtype=complex) / base
             return (-1j * hbar * (curv - ld * ld)).reshape(-1, 1, 1)
-        kind = "closed-form"
 
     pole_list = []
     for node in nodes:
@@ -458,8 +429,7 @@ def field_from_wavefunction(psi, nodes=(), units: UnitSystem = NATURAL_UNITS,
             axis, loc = node
             pole_list.append((int(axis), float(loc)))
 
-    return MomentumField(dimension, value, jacobian_fn=jacobian, laplacian_fn=laplacian,
-                         derivative_kind=kind, poles=pole_list,
+    return MomentumField(dimension, value, jacobian_fn=jacobian, poles=pole_list,
                          holomorphic=False, tolerance=tolerance)
 
 
@@ -524,12 +494,12 @@ class PotentialField:
         return _richardson_gradient(self._value_at, pts)
 
     def value(self, r):
-        pts, kind = _as_points(r, self.dimension)
-        return _restore_scalar(self._value_at(pts), kind)
+        pts, restore = _as_points(r, self.dimension)
+        return restore(self._value_at(pts))
 
     def gradient(self, r):
-        pts, kind = _as_points(r, self.dimension)
-        return _restore_vector(self._gradient_at(pts), kind)
+        pts, restore = _as_points(r, self.dimension)
+        return restore(self._gradient_at(pts))
 
 
 def harmonic_potential(units: UnitSystem = NATURAL_UNITS) -> PotentialField:
@@ -549,9 +519,7 @@ def polynomial_potential(coefficients) -> PotentialField:
 
 
 def zero_potential(dimension: int = 1) -> PotentialField:
-    return PotentialField(lambda pts: np.zeros(pts.shape[0], dtype=complex),
-                          lambda pts: np.zeros(pts.shape, dtype=complex),
-                          dimension=dimension)
+    return constant_potential(0.0, dimension)
 
 
 def constant_potential(value: float, dimension: int = 1) -> PotentialField:
@@ -578,6 +546,15 @@ def separable_potential(parts) -> PotentialField:
 # -- energy --------------------------------------------------------------------
 
 
+def _energy(field, potential, pts, units, divergence_scale=1.0):
+    """``energy_at`` on (n, d) points, without the pole and axis check."""
+    p = field._value_at(pts, check=False)
+    div = np.trace(field._jacobian_at(pts, check=False), axis1=1, axis2=2)
+    u = potential._value_at(pts)
+    return ((p * p).sum(axis=1) / (2.0 * units.mass) + u
+            - 1j * (divergence_scale * units.hbar / (2.0 * units.mass)) * div)
+
+
 def energy_at(field: MomentumField, potential: PotentialField, r,
               units: UnitSystem = NATURAL_UNITS, divergence_scale: float = 1.0):
     """Complex energy E = p.p/(2m) + U - i*(hbar/2m) div p at ``r``.
@@ -586,14 +563,34 @@ def energy_at(field: MomentumField, potential: PotentialField, r,
     not |p|**2.  No real projection is applied.  ``divergence_scale``
     multiplies hbar in the divergence term only; setting it to 0 recovers
     the classical p.p/(2m) + U exactly (correspondence-principle toggle).
+    The field's pole and real-axis check runs first; the result has the
+    shape of ``r`` without its component axis, and a single position gives
+    a Python complex.
     """
-    pts, kind = _as_points(r, field.dimension)
-    p = field._value_at(pts)
-    div = np.trace(field._jacobian_at(pts, check=False), axis1=1, axis2=2)
-    u = potential._value_at(pts)
-    e = ((p * p).sum(axis=1) / (2.0 * units.mass) + u
-         - 1j * (divergence_scale * units.hbar / (2.0 * units.mass)) * div)
-    return _restore_scalar(e, kind)
+    pts, restore = _as_points(r, field.dimension)
+    field._check(pts)
+    return restore(_energy(field, potential, pts, units, divergence_scale))
+
+
+def _axis_samples(field, region, samples, minimum):
+    """Uniform grid of ``samples`` points over a 1-D ``region``.
+
+    Returns (xs, points, keep): the real grid, the same as (n, 1) complex
+    points, and a mask of the points outside the field's pole margin.  A
+    sample count below ``minimum`` is a ValueError; an empty region, or one
+    with no usable point, is EmptyRegion.
+    """
+    if samples < minimum:
+        raise ValueError(f"samples must be at least {minimum}, got {samples!r}")
+    lo, hi = float(region[0]), float(region[1])
+    if not hi > lo:
+        raise EmptyRegion(f"degenerate scan region {region!r}")
+    xs = np.linspace(lo, hi, samples)
+    pts = xs.reshape(-1, 1).astype(complex)
+    keep = field.pole_distances(pts) > field.pole_margin
+    if not np.any(keep):
+        raise EmptyRegion("every sample point sits inside a node-guard neighborhood")
+    return xs, pts, keep
 
 
 @dataclass
@@ -626,28 +623,16 @@ def energy_constancy_scan(field: MomentumField, potential: PotentialField, regio
     """
     if field.dimension != 1:
         raise ValueError("energy scans are defined for one-dimensional fields")
-    if samples < 2:
-        raise ValueError(f"samples must be at least 2, got {samples!r}")
-    lo, hi = float(region[0]), float(region[1])
-    if not (hi > lo):
-        raise EmptyRegion(f"degenerate scan region {region!r}")
-    xs = np.linspace(lo, hi, samples)
-    pts = xs.reshape(-1, 1).astype(complex)
-    dist = field.pole_distances(pts)
-    keep = dist > field.pole_margin
-    if not np.any(keep):
-        raise EmptyRegion("every sample point sits inside a node-guard neighborhood")
-    xs = xs[keep]
-    pts = pts[keep]
-
+    xs, pts, keep = _axis_samples(field, region, samples, 2)
+    xs, pts = xs[keep], pts[keep]
     momenta = field._value_at(pts)
-    energies = energy_at(field, potential, pts, units, divergence_scale)
-    energies = np.asarray(energies).reshape(-1)
+    energies = _energy(field, potential, pts, units, divergence_scale)
     mean = complex(energies.mean())
     deviations = np.abs(energies - mean)
     worst = int(np.argmax(deviations))
     return ScanReport(
-        region=(lo, hi), points=xs, momenta=momenta[:, 0], energies=energies, mean_energy=mean,
+        region=(float(region[0]), float(region[1])), points=xs, momenta=momenta[:, 0],
+        energies=energies, mean_energy=mean,
         max_deviation=float(deviations[worst]), worst_point=float(xs[worst]),
         tol=float(tol), passed=bool(deviations[worst] <= tol))
 
@@ -731,7 +716,7 @@ def reconstruct_wavefunction(field: MomentumField, path, amplitude: complex = 1.
     wavefunction is anchored to psi = 1 at the path start.  A segment
     passing within node_guard of a pole raises PathThroughNode.
     """
-    pts, _kind = _as_points(path, field.dimension)
+    pts, _ = _as_points(path, field.dimension)
     if pts.shape[0] < 2:
         raise ValueError("path needs at least two nodes")
     guard = field.tolerance.node_guard

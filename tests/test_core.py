@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -165,3 +166,10 @@ def test_tolerance_policy_validation():
     policy = TolerancePolicy(abs_tol=1e-12, rel_tol=1e-9)
     assert policy.close(1.0, 1.0 + 1e-10)
     assert not policy.close(1.0, 1.01)
+
+
+@pytest.mark.parametrize("key", ["abs_tol", "rel_tol", "node_guard"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_tolerance_policy_needs_finite_values(key, value):
+    with pytest.raises(ValueError, match=key):
+        TolerancePolicy(**{key: value})

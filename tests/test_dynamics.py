@@ -20,6 +20,7 @@ from momflow import (
 )
 from momflow.errors import (
     BranchAmbiguity,
+    EmptyRegion,
     StepUnderflow,
     TrajectoryNearSingularity,
 )
@@ -172,6 +173,17 @@ def test_rk4_evolve_makes_four_field_calls_per_step():
     assert calls == [1] * 40 + [11]  # four per step, then every stored momentum at once
 
 
+def test_evolve_starts_from_exactly_one_position():
+    config = IntegratorConfig(t_end=0.1, dt=1e-2)
+    traj = evolve(FIELD, POT, 1.3, config)
+    for x0 in ([1.3], [[1.3]]):
+        assert np.array_equal(evolve(FIELD, POT, x0, config).positions, traj.positions)
+    with pytest.raises(ValueError, match="one position"):
+        evolve(FIELD, POT, [1.3, 1.5], config)
+    with pytest.raises(ValueError):
+        evolve(FIELD, POT, [[1.3, 1.5]], config)
+
+
 def test_trajectory_into_node_halts_with_partial_result():
     # from sqrt(2) the track reaches the pole at x = 0 at t = pi/2
     config = IntegratorConfig(t_end=2.0, dt=1e-3)
@@ -233,3 +245,15 @@ def test_level2_fixed_points_match_log_derivative_roots():
     assert len(roots) == 1
     assert roots[0][0] == pytest.approx(math.sqrt(2.5), abs=1e-9)
     assert roots[0][1] < 1e-9
+
+
+@pytest.mark.parametrize("samples", [2, 1, 0, -1])
+def test_fixed_point_scan_blames_a_bad_sample_count_not_the_region(samples):
+    with pytest.raises(ValueError, match="samples") as caught:
+        classify_fixed_points(qho_field(2), POT, (0.1, 3.0), samples=samples)
+    assert not isinstance(caught.value, EmptyRegion)
+
+
+def test_fixed_point_scan_rejects_degenerate_region():
+    with pytest.raises(EmptyRegion):
+        classify_fixed_points(qho_field(2), POT, (3.0, 0.1))

@@ -652,6 +652,14 @@ def test_time_out_of_range():
     result = evolve_ensemble(FIELD, POT, spec)
     with pytest.raises(TimeOutOfRange):
         density_histogram(result, 5.0, 10)
+    # a nan time compares false with every bound, so it must not pick t = 0
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(TimeOutOfRange):
+            result.snapshot_index(t)
+    with pytest.raises(TimeOutOfRange):
+        density_histogram(result, np.nan, 10)
+    with pytest.raises(TimeOutOfRange):
+        draw_measurement(result, np.nan, np.random.default_rng(0))
 
 
 def test_nonuniform_bins_rejected():

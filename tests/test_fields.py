@@ -2,17 +2,25 @@ import numpy as np
 import pytest
 
 from momflow import (
+    EnsembleSpec,
+    IntegratorConfig,
     MomentumField,
+    SeedSpec,
     UnitSystem,
     curl_residual,
     energy_at,
     energy_constancy_scan,
+    evolve_ensemble,
     field_from_wavefunction,
+    force_at,
     harmonic_potential,
     polynomial_potential,
     product_field,
     qho_field,
     reconstruct_wavefunction,
+    separable_potential,
+    stationarity_residual,
+    uniform_distribution,
     wavefunction_interpolant,
     zero_potential,
 )
@@ -166,6 +174,85 @@ def test_closed_form_derivatives_match_numeric_twin():
         a = np.atleast_1d(getattr(closed, attr)(xs))
         b = np.atleast_1d(getattr(twin, attr)(xs))
         assert np.all(np.abs(a - b) <= 1e-6 * np.maximum(np.abs(a), 1.0))
+
+
+def test_wavefunction_field_reports_numeric_derivatives():
+    # psi' and psi'' give p and its Jacobian in closed form, but the vector
+    # Laplacian is still Richardson differences of p
+    field = field_from_wavefunction(
+        psi_level1, nodes=[0.0],
+        psi_prime=lambda x: (1.0 - x * x) * np.exp(-x * x / 2.0),
+        psi_second=lambda x: (x ** 3 - 3.0 * x) * np.exp(-x * x / 2.0))
+    assert field.derivative_kind == "numeric-central-difference"
+    assert field.jacobian(1.5) == pytest.approx(qho_field(1).jacobian(1.5), rel=1e-12)
+
+
+# -- evaluator shapes -------------------------------------------------------------
+
+_FIELD_2D = product_field([qho_field(1), qho_field(2)])
+_FIELD_3D = product_field([qho_field(1), qho_field(0), qho_field(2)])
+_POT_2D = separable_potential([harmonic_potential()] * 2)
+_POT_3D = separable_potential([harmonic_potential()] * 3)
+
+# (field, potential, r, leading shape); a leading shape of None is a lone value
+_SHAPE_CASES = {
+    "1-D scalar": (qho_field(2), harmonic_potential(), 0.7, None),
+    "1-D (2,)": (qho_field(2), harmonic_potential(), np.array([0.7, 1.9]), (2,)),
+    "1-D (1,)": (qho_field(2), harmonic_potential(), np.array([0.7]), (1,)),
+    "1-D (2, 1)": (qho_field(2), harmonic_potential(), np.array([[0.7], [1.9]]), (2,)),
+    "2-D point": (_FIELD_2D, _POT_2D, np.array([0.7, 1.9]), None),
+    "2-D (2, 2)": (_FIELD_2D, _POT_2D, np.array([[0.7, 1.9], [1.2, 2.5]]), (2,)),
+    "3-D point": (_FIELD_3D, _POT_3D, np.array([0.7, 0.4, 1.9]), None),
+}
+# evaluator -> (call, trailing shape of one d-D result, result is a real distance)
+_SCALAR, _VECTOR = (lambda d: ()), (lambda d: (d,))
+_EVALUATORS = {
+    "value": (lambda f, u, r: f.value(r), _VECTOR, False),
+    "jacobian": (lambda f, u, r: f.jacobian(r), lambda d: (d, d), False),
+    "divergence": (lambda f, u, r: f.divergence(r), _SCALAR, False),
+    "vector_laplacian": (lambda f, u, r: f.vector_laplacian(r), _VECTOR, False),
+    "curl": (lambda f, u, r: f.curl(r), lambda d: () if d == 2 else (3,), False),
+    "pole_distance": (lambda f, u, r: f.pole_distance(r), _SCALAR, True),
+    "potential.value": (lambda f, u, r: u.value(r), _SCALAR, False),
+    "potential.gradient": (lambda f, u, r: u.gradient(r), _VECTOR, False),
+    "energy_at": (lambda f, u, r: energy_at(f, u, r), _SCALAR, False),
+    "force_at": (lambda f, u, r: force_at(f, u, r), _VECTOR, False),
+    "stationarity_residual": (lambda f, u, r: stationarity_residual(f, u, r), _VECTOR, False),
+}
+
+
+@pytest.mark.parametrize("evaluator", sorted(_EVALUATORS))
+@pytest.mark.parametrize("case", list(_SHAPE_CASES))
+def test_evaluator_result_shape_follows_the_input(case, evaluator):
+    field, pot, r, lead = _SHAPE_CASES[case]
+    call, trailing, real = _EVALUATORS[evaluator]
+    d = field.dimension
+    if evaluator == "curl" and d == 1:
+        with pytest.raises(DimensionTooLow):
+            call(field, pot, r)
+        return
+    # a 1-D scalar or 1-D array has no component axis, so neither has its result
+    trailing = () if d == 1 and np.ndim(r) < 2 else trailing(d)
+    got = call(field, pot, r)
+    if lead is None and not trailing:
+        assert type(got) is (float if real else complex)
+        return
+    assert isinstance(got, np.ndarray)
+    assert got.shape == (lead or ()) + trailing
+    assert got.dtype == (np.float64 if real else np.complex128)
+
+
+def test_ensemble_energies_equal_energy_at():
+    units = UnitSystem(hbar=2.0, mass=0.7, omega=1.3)
+    field, pot = qho_field(1, units), harmonic_potential(units)
+    spec = EnsembleSpec(count=300, region=(1.0, 2.5), distribution=uniform_distribution(),
+                        seed=SeedSpec(17), integrator=IntegratorConfig(t_end=0.5, dt=1e-2),
+                        snapshots=6)
+    result = evolve_ensemble(field, pot, spec, units)
+    assert np.all(np.isnan(result.termination_time))
+    for s in range(spec.snapshots):
+        expected = energy_at(field, pot, result.positions[s], units)
+        assert result.energies[s].tobytes() == expected.tobytes()
 
 
 # -- energy -----------------------------------------------------------------------
