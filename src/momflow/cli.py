@@ -404,12 +404,10 @@ def _run_ensemble(cfg: RunConfig, out: Path) -> tuple[int, dict]:
         summary["histograms"].append(entry)
 
     if p["dump_trajectories"]:
-        rows = []
-        for s, t in enumerate(result.times):
-            for i in range(spec.count):
-                z = result.positions[s, i, 0]
-                rows.append([i, t, z.real, z.imag])
-        reports.write_csv(out / "members.csv", ["member", "t", "re_x", "im_x"], rows, meta)
+        reports.write_csv(out / "members.csv", {
+            "member": np.tile(np.arange(spec.count), len(result.times)),
+            "t": np.repeat(result.times, spec.count),
+            "x": result.positions[:, :, 0].ravel()}, meta)
     return _EXIT_OK, summary
 
 
@@ -427,10 +425,9 @@ def _run_reconstruct(cfg: RunConfig, out: Path) -> tuple[int, dict]:
         "last_value": reports.complex_pair(samples.values[-1]),
     }
     if "csv" in cfg.formats:
-        rows = [[x.real, v.real, v.imag, s.real, s.imag]
-                for x, v, s in zip(samples.path, samples.values, samples.phase_integrals)]
         reports.write_csv(out / "wavefunction.csv",
-                          ["x", "re_psi", "im_psi", "re_phase", "im_phase"], rows,
+                          {"x": samples.path.real, "psi": samples.values,
+                           "phase": samples.phase_integrals},
                           reports.standard_metadata(config_hash=cfg.config_hash))
     if cfg.svg:
         svgplot.line_plot(out / "wavefunction.svg", samples.path.real,

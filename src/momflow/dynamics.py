@@ -33,7 +33,7 @@ from .errors import (
     StepUnderflow,
     TrajectoryNearSingularity,
 )
-from .fields import MomentumField, PotentialField, _as_points, _axis_samples
+from .fields import MomentumField, PotentialField, _as_points, _axis_samples, _check_potential
 
 __all__ = [
     "PhasePoint",
@@ -134,6 +134,7 @@ class IntegratorConfig:
 def force_at(field: MomentumField, potential: PotentialField, r,
              units: UnitSystem = NATURAL_UNITS):
     """Force F = -grad U + i*(hbar/2m) * (vector Laplacian of p)."""
+    _check_potential(field, potential)
     pts, restore = _as_points(r, field.dimension)
     field._check(pts)
     grad_u = potential._gradient_at(pts)

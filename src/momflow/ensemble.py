@@ -42,7 +42,8 @@ from .core import (DEFAULT_TOLERANCE, NATURAL_UNITS, SeedSpec, TolerancePolicy, 
                    substream_normals, substream_uniforms)
 from .dynamics import COMPLETED, REASON_LABELS, IntegratorConfig, _integrate
 from .errors import RegionOverlapsSingularity, TimeOutOfRange, ZeroMass
-from .fields import MomentumField, PotentialField, _GL_NODES, _GL_WEIGHTS, _energy
+from .fields import (MomentumField, PotentialField, _GL_NODES, _GL_WEIGHTS, _check_potential,
+                     _energy)
 
 __all__ = [
     "Distribution",
@@ -348,6 +349,7 @@ def evolve_ensemble(field: MomentumField, potential: PotentialField, spec: Ensem
     d = spec.dimension
     if d != field.dimension:
         raise ValueError("spec and field dimensions disagree")
+    _check_potential(field, potential)
     times = np.linspace(0.0, spec.integrator.t_end, spec.snapshots)
     positions = _shared((spec.snapshots, spec.count, d), complex)
     positions[0] = sample_initial(spec, poles=field.poles, tolerance=field.tolerance)

@@ -546,8 +546,16 @@ def separable_potential(parts) -> PotentialField:
 # -- energy --------------------------------------------------------------------
 
 
+def _check_potential(field, potential):
+    """A potential whose dimension differs from the field's is a ValueError."""
+    if potential.dimension != field.dimension:
+        raise ValueError(f"potential and field dimensions disagree: "
+                         f"{potential.dimension}-D potential, {field.dimension}-D field")
+
+
 def _energy(field, potential, pts, units, divergence_scale=1.0):
     """``energy_at`` on (n, d) points, without the pole and axis check."""
+    _check_potential(field, potential)
     p = field._value_at(pts, check=False)
     div = np.trace(field._jacobian_at(pts, check=False), axis1=1, axis2=2)
     u = potential._value_at(pts)

@@ -3,8 +3,9 @@
 CSV files are RFC-4180-style (UTF-8, LF line endings, comma separated)
 preceded by a ``#``-prefixed metadata block: tool version, config hash,
 seed, and any record-specific settings such as the integration scheme.
-Complex values serialize as separate re/im columns in CSV and as
-[re, im] pairs in JSON.
+A table is written a column at a time: a complex column ``name`` becomes
+the columns ``re_name`` and ``im_name``.  In JSON a complex value, alone
+or at any depth of an array, becomes an [re, im] pair.
 """
 
 from __future__ import annotations
@@ -24,13 +25,10 @@ def complex_pair(z):
 
 
 def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, complex):
-        return complex_pair(value)
-    if isinstance(value, np.ndarray):
+    if isinstance(value, (np.ndarray, np.generic, complex)):
+        value = np.asarray(value)
         if np.iscomplexobj(value):
-            return [complex_pair(z) for z in value.tolist()]
+            value = np.stack((value.real, value.imag), axis=-1)
         return value.tolist()
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
@@ -39,26 +37,42 @@ def _jsonable(value):
     return value
 
 
-def standard_metadata(seed=None, config_hash=None, **extra) -> dict:
+def standard_metadata(seed=None, config_hash=None) -> dict:
     meta = {"tool": "momflow", "version": __version__}
     if config_hash is not None:
         meta["config_hash"] = config_hash
     if seed is not None:
         meta["seed"] = seed
-    meta.update(extra)
     return meta
 
 
-def write_csv(path, fieldnames, rows, metadata=None) -> Path:
-    """Write rows (sequences matching ``fieldnames``) with a metadata block."""
+def write_csv(path, columns, metadata=None) -> Path:
+    """Write ``columns``, a dict of name -> 1-D array, after a metadata block.
+
+    A complex column ``name`` is written as ``re_name`` and ``im_name``.
+    Columns of unequal length, or not 1-D, raise ValueError.
+    """
+    names, cells = [], []
+    for name, column in columns.items():
+        column = np.asarray(column)
+        if column.ndim != 1:
+            raise ValueError(f"column {name!r} has shape {column.shape}, not (n,)")
+        if np.iscomplexobj(column):
+            names += [f"re_{name}", f"im_{name}"]
+            cells += [column.real.tolist(), column.imag.tolist()]
+        else:
+            names.append(name)
+            cells.append(column.tolist())
+    if len({len(cell) for cell in cells}) > 1:
+        raise ValueError(f"columns of unequal length: {dict(zip(names, map(len, cells)))}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         for key, value in (metadata or {}).items():
             handle.write(f"# {key}: {value}\n")
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(fieldnames)
-        writer.writerows(rows)
+        writer.writerow(names)
+        writer.writerows(zip(*cells))
     return path
 
 
@@ -92,9 +106,10 @@ def read_csv(path):
 
 
 def scan_report_csv(report, path, metadata=None) -> Path:
-    rows = [[x, p.real, p.imag, e.real, e.imag]
-            for x, p, e in zip(report.points, report.momenta, report.energies)]
-    return write_csv(path, ["x", "re(p)", "im(p)", "re(E)", "im(E)"], rows, metadata)
+    return write_csv(path, {"x": report.points,
+                            "re(p)": report.momenta.real, "im(p)": report.momenta.imag,
+                            "re(E)": report.energies.real, "im(E)": report.energies.imag},
+                     metadata)
 
 
 def scan_report_json(report) -> dict:
@@ -111,26 +126,14 @@ def scan_report_json(report) -> dict:
 
 def trajectory_csv(trajectory, path, metadata=None) -> Path:
     d = trajectory.dimension
-    names = ["t"]
-    for k in range(d):
-        names += [f"re_x{k}", f"im_x{k}"]
-    for k in range(d):
-        names += [f"re_p{k}", f"im_p{k}"]
-    rows = []
-    for i, t in enumerate(trajectory.times):
-        row = [t]
-        for k in range(d):
-            z = trajectory.positions[i, k]
-            row += [z.real, z.imag]
-        for k in range(d):
-            z = trajectory.momenta[i, k]
-            row += [z.real, z.imag]
-        rows.append(row)
+    columns = {"t": trajectory.times}
+    columns.update((f"x{k}", trajectory.positions[:, k]) for k in range(d))
+    columns.update((f"p{k}", trajectory.momenta[:, k]) for k in range(d))
     meta = dict(metadata or {})
     meta.setdefault("scheme", trajectory.scheme)
     if "dt" in trajectory.metadata:
         meta.setdefault("dt", trajectory.metadata["dt"])
-    return write_csv(path, names, rows, meta)
+    return write_csv(path, columns, meta)
 
 
 def trajectory_json(trajectory) -> dict:
@@ -138,22 +141,15 @@ def trajectory_json(trajectory) -> dict:
         "scheme": trajectory.scheme,
         "metadata": trajectory.metadata,
         "times": trajectory.times,
-        "positions": [[complex_pair(z) for z in row] for row in trajectory.positions],
-        "momenta": [[complex_pair(z) for z in row] for row in trajectory.momenta],
+        "positions": trajectory.positions,
+        "momenta": trajectory.momenta,
     }
 
 
 def invariant_series_csv(series, path, metadata=None) -> Path:
-    values = np.asarray(series.values)
-    if np.iscomplexobj(values):
-        rows = [[t, v.real, v.imag] for t, v in zip(series.times, values)]
-        names = ["t", "re_value", "im_value"]
-    else:
-        rows = [[t, v] for t, v in zip(series.times, values)]
-        names = ["t", "value"]
     meta = dict(metadata or {})
     meta.setdefault("label", series.label)
-    return write_csv(path, names, rows, meta)
+    return write_csv(path, {"t": series.times, "value": series.values}, meta)
 
 
 def invariant_series_json(series, tol=None) -> dict:
@@ -173,21 +169,14 @@ def invariant_series_json(series, tol=None) -> dict:
 
 
 def histogram_csv(hist, path, metadata=None) -> Path:
-    names = ["bin_lo", "bin_hi", "count"]
-    born = hist.born_reference
-    rows = []
-    for i in range(len(hist.counts)):
-        row = [hist.edges[i], hist.edges[i + 1], hist.counts[i]]
-        if born is not None:
-            row.append(born[i])
-        rows.append(row)
-    if born is not None:
-        names.append("born_probability")
+    columns = {"bin_lo": hist.edges[:-1], "bin_hi": hist.edges[1:], "count": hist.counts}
+    if hist.born_reference is not None:
+        columns["born_probability"] = hist.born_reference
     meta = dict(metadata or {})
     meta.setdefault("t", hist.time)
     meta.setdefault("off_axis_count", hist.off_axis_count)
     meta.setdefault("terminated_count", hist.terminated_count)
-    return write_csv(path, names, rows, meta)
+    return write_csv(path, columns, meta)
 
 
 def ensemble_summary(result) -> dict:
@@ -212,9 +201,8 @@ def ensemble_summary(result) -> dict:
 
 
 def eigenpairs_csv(grid, pairs, path, metadata=None) -> Path:
-    names = ["x"] + [f"psi_{p.level}" for p in pairs]
-    rows = [[x] + [p.psi[i] for p in pairs] for i, x in enumerate(grid.xs)]
-    return write_csv(path, names, rows, metadata)
+    return write_csv(path, {"x": grid.xs, **{f"psi_{p.level}": p.psi for p in pairs}},
+                     metadata)
 
 
 def eigenpairs_json(grid, pairs) -> dict:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import momflow
+from momflow import reports
 from momflow.cli import ConfigError, config_from_dict, load_config, main
 
 
@@ -211,7 +212,23 @@ def test_ensemble_member_dump(tmp_path):
                      "dt": 0.01, "t_end": 0.1, "dump_trajectories": True},
     })
     assert main(["ensemble", "--config", str(path)]) == 0
-    assert (out / "members.csv").exists()
+    block = read_summary(out)["resolved_config"]["ensemble"]
+    spec = momflow.EnsembleSpec(
+        count=block["count"], region=tuple(block["region"]),
+        distribution=momflow.Distribution(**block["distribution"]),
+        seed=momflow.SeedSpec(block["seed"]),
+        integrator=momflow.IntegratorConfig(block["t_end"], block["scheme"], block["dt"]))
+    result = momflow.evolve_ensemble(momflow.qho_field(1), momflow.harmonic_potential(), spec)
+    meta, names, rows = reports.read_csv(out / "members.csv")
+    assert meta["seed"] == "4"
+    assert names == ["member", "t", "re_x", "im_x"]
+    # snapshot-major, then member
+    snapshots = len(result.times)
+    assert rows.shape == (snapshots * 20, 4)
+    assert np.array_equal(rows[:, 0], np.tile(np.arange(20), snapshots))
+    assert np.array_equal(rows[:, 1], np.repeat(result.times, 20))
+    x = result.positions[:, :, 0].ravel()
+    assert np.array_equal(rows[:, 2], x.real) and np.array_equal(rows[:, 3], x.imag)
 
 
 def test_twobody_svg_drift_plot(tmp_path):
@@ -248,7 +265,13 @@ def test_reconstruct_scenario(tmp_path):
         "reconstruct": {"path": {"start": 0.5, "stop": 4.0, "nodes": 12}},
     })
     assert main(["reconstruct", "--config", str(path)]) == 0
-    assert (out / "wavefunction.csv").exists()
+    samples = momflow.reconstruct_wavefunction(momflow.qho_field(1),
+                                               np.linspace(0.5, 4.0, 12), 1.0)
+    _meta, names, rows = reports.read_csv(out / "wavefunction.csv")
+    assert names == ["x", "re_psi", "im_psi", "re_phase", "im_phase"]
+    expected = np.stack([samples.path.real, samples.values.real, samples.values.imag,
+                         samples.phase_integrals.real, samples.phase_integrals.imag], axis=1)
+    assert np.array_equal(rows, expected)
     summary = read_summary(out)
     assert summary["first_value"] == pytest.approx([1.0, 0.0])
 

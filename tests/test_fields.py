@@ -255,6 +255,28 @@ def test_ensemble_energies_equal_energy_at():
         assert result.energies[s].tobytes() == expected.tobytes()
 
 
+def test_potential_of_another_dimension_is_refused():
+    field = product_field([qho_field(1), qho_field(1)])
+    r = np.array([1.5, 2.0])
+    assert energy_at(field, separable_potential([harmonic_potential()] * 2), r) == \
+        pytest.approx(3.0)
+    spec = EnsembleSpec(count=4, region=((1.0, 2.0), (1.5, 2.5)),
+                        distribution=uniform_distribution(), seed=SeedSpec(3),
+                        integrator=IntegratorConfig(t_end=0.1, dt=1e-2))
+    calls = {
+        "energy_at": lambda u: energy_at(field, u, r),
+        "force_at": lambda u: force_at(field, u, r),
+        "stationarity_residual": lambda u: stationarity_residual(field, u, r),
+        # without energies only the check before stepping sees the potential
+        "evolve_ensemble": lambda u: evolve_ensemble(field, u, spec, record_energy=False),
+    }
+    for call in calls.values():
+        with pytest.raises(ValueError, match="1-D potential, 2-D field"):
+            call(harmonic_potential())
+    with pytest.raises(ValueError, match="2-D potential, 1-D field"):
+        energy_constancy_scan(qho_field(1), _POT_2D, (0.5, 2.0), samples=10)
+
+
 # -- energy -----------------------------------------------------------------------
 
 
