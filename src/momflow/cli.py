@@ -10,11 +10,15 @@ a number or an ``[re, im]`` pair.  --out, --format and --svg override
 their config counterparts; --seed, --dt and --t-end set their key only
 where the resolved block has it, and are a config error elsewhere.
 
-Every run writes ``summary.json`` with the ``resolved_config`` and the
-``config_hash`` covering it, both null when the config does not resolve.
-Only a config that cannot be read, or whose top level is in error and
-names no string ``out_dir`` (nor --out), ends without one.  Exit codes:
-0 success, 1 usage/config error, 2 a physics invariant check failed.
+A run writes the files whose suffix the config enables (``.csv`` and
+``.json`` by ``formats``, ``.svg`` by ``svg``), then ``summary.json``
+with the ``resolved_config`` and the ``config_hash`` covering it, both
+null when the config does not resolve; a failed run writes only
+``summary.json``.  Only a config that cannot be read, or whose top level
+is in error and names no string ``out_dir`` (nor --out), ends without
+one, as does an ``out_dir`` that cannot be written (an error on stderr).
+Exit codes: 0 success, 1 usage/config error, 2 a physics invariant check
+failed.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field as dataclass_field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -259,11 +264,6 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def load_config(path) -> RunConfig:
-    """Parse and resolve a JSON run configuration."""
-    return config_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
 def _top_level(data) -> RunConfig:
     """``data``'s top level resolved; its scenario block is kept unresolved in ``params``."""
     if not isinstance(data, dict):
@@ -300,26 +300,26 @@ def _potential(block, units):
 
 
 # -- scenario runners -----------------------------------------------------------
+# A runner returns (exit code, summary details, files): ``files`` maps a file
+# name to a function that writes that file to a path.  ``meta`` is the CSV
+# metadata block.
 
 
-def _run_field_scan(cfg: RunConfig, out: Path) -> tuple[int, dict]:
+def _run_field_scan(cfg: RunConfig, meta: dict) -> tuple[int, dict, dict]:
     p = cfg.params
     field = qho_field(p["field"]["level"], cfg.units)
     report = energy_constancy_scan(field, _potential(p["potential"], cfg.units), p["region"],
                                    samples=p["samples"], tol=p["tol"], units=cfg.units)
-    summary = reports.scan_report_json(report)
-    if "csv" in cfg.formats:
-        reports.scan_report_csv(report, out / "field_scan.csv",
-                                reports.standard_metadata(config_hash=cfg.config_hash))
-    if cfg.svg:
-        svgplot.line_plot(out / "field_scan.svg", report.points,
-                          [report.energies.real, report.energies.imag],
-                          labels=["Re E", "Im E"], title="energy scan",
-                          xlabel="x", ylabel="E")
-    return (_EXIT_OK if report.passed else _EXIT_INVARIANT), summary
+    files = {
+        "field_scan.csv": partial(reports.scan_report_csv, report, metadata=meta),
+        "field_scan.svg": lambda path: svgplot.line_plot(
+            path, report.points, [report.energies.real, report.energies.imag],
+            labels=["Re E", "Im E"], title="energy scan", xlabel="x", ylabel="E"),
+    }
+    return (_EXIT_OK if report.passed else _EXIT_INVARIANT), reports.scan_report_json(report), files
 
 
-def _run_evolve(cfg: RunConfig, out: Path) -> tuple[int, dict]:
+def _run_evolve(cfg: RunConfig, meta: dict) -> tuple[int, dict, dict]:
     p = cfg.params
     field = qho_field(p["field"]["level"], cfg.units)
     x0 = complex(*p["x0"])
@@ -342,19 +342,17 @@ def _run_evolve(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     if drift_tol is not None and displacement.max() > drift_tol:
         status = _EXIT_INVARIANT
         summary["violated"] = "max_displacement_tol"
-    if "csv" in cfg.formats:
-        reports.trajectory_csv(traj, out / "trajectory.csv",
-                               reports.standard_metadata(config_hash=cfg.config_hash))
-    if "json" in cfg.formats:
-        reports.write_json(out / "trajectory.json", reports.trajectory_json(traj))
-    if cfg.svg:
-        svgplot.line_plot(out / "trajectory.svg", traj.times,
-                          [traj.x.real, traj.x.imag], labels=["Re x", "Im x"],
-                          title="trajectory", xlabel="t", ylabel="x")
-    return status, summary
+    files = {
+        "trajectory.csv": partial(reports.trajectory_csv, traj, metadata=meta),
+        "trajectory.json": lambda path: reports.write_json(path, reports.trajectory_json(traj)),
+        "trajectory.svg": lambda path: svgplot.line_plot(
+            path, traj.times, [traj.x.real, traj.x.imag], labels=["Re x", "Im x"],
+            title="trajectory", xlabel="t", ylabel="x"),
+    }
+    return status, summary, files
 
 
-def _run_ensemble(cfg: RunConfig, out: Path) -> tuple[int, dict]:
+def _run_ensemble(cfg: RunConfig, meta: dict) -> tuple[int, dict, dict]:
     p = cfg.params
     spec = EnsembleSpec(count=p["count"], region=tuple(p["region"]),
                         distribution=Distribution(**p["distribution"]), seed=SeedSpec(p["seed"]),
@@ -375,8 +373,8 @@ def _run_ensemble(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     summary = reports.ensemble_summary(result)
     summary["seed"] = spec.seed.master_seed
 
-    meta = reports.standard_metadata(seed=spec.seed.master_seed,
-                                     config_hash=cfg.config_hash)
+    meta = {**meta, "seed": spec.seed.master_seed}
+    files = {}
     summary["histograms"] = []
     for t in p["histogram_times"]:
         hist = density_histogram(result, t, p["bins"])
@@ -385,33 +383,33 @@ def _run_ensemble(cfg: RunConfig, out: Path) -> tuple[int, dict]:
             "off_axis_count": hist.off_axis_count,
             "terminated_count": hist.terminated_count,
         }
+        overlay = None
         if born_psi is not None:
             comparison = compare_density_to_born(hist, born_psi)
             hist.born_reference = comparison.reference
             entry["born_l1_distance"] = comparison.l1_distance
             entry["born_js_divergence"] = comparison.js_divergence
-        if "csv" in cfg.formats:
-            reports.histogram_csv(hist, out / f"histogram_t{hist.time:g}.csv", meta)
-        if cfg.svg:
-            overlay = None
-            if hist.born_reference is not None:
-                mids = 0.5 * (hist.edges[:-1] + hist.edges[1:])
-                overlay = (mids, hist.born_reference * hist.counts.sum())
-            svgplot.histogram_plot(out / f"histogram_t{hist.time:g}.svg",
-                                   hist.edges, hist.counts, overlay=overlay,
-                                   title=f"density at t={hist.time:g}",
-                                   xlabel="Re x", ylabel="count")
+            mids = 0.5 * (hist.edges[:-1] + hist.edges[1:])
+            overlay = (mids, hist.born_reference * hist.counts.sum())
+        files[f"histogram_t{hist.time:g}.csv"] = partial(reports.histogram_csv, hist,
+                                                         metadata=meta)
+        files[f"histogram_t{hist.time:g}.svg"] = partial(
+            svgplot.histogram_plot, edges=hist.edges, counts=hist.counts, overlay=overlay,
+            title=f"density at t={hist.time:g}", xlabel="Re x", ylabel="count")
         summary["histograms"].append(entry)
 
     if p["dump_trajectories"]:
-        reports.write_csv(out / "members.csv", {
-            "member": np.tile(np.arange(spec.count), len(result.times)),
-            "t": np.repeat(result.times, spec.count),
-            "x": result.positions[:, :, 0].ravel()}, meta)
-    return _EXIT_OK, summary
+        def members_csv(path):
+            reports.write_csv(path, {
+                "member": np.tile(np.arange(spec.count), len(result.times)),
+                "t": np.repeat(result.times, spec.count),
+                "x": result.positions[:, :, 0].ravel()}, meta)
+
+        files["members.csv"] = members_csv
+    return _EXIT_OK, summary, files
 
 
-def _run_reconstruct(cfg: RunConfig, out: Path) -> tuple[int, dict]:
+def _run_reconstruct(cfg: RunConfig, meta: dict) -> tuple[int, dict, dict]:
     p = cfg.params
     path = p["path"]
     amplitude = complex(*p["amplitude"])
@@ -424,22 +422,21 @@ def _run_reconstruct(cfg: RunConfig, out: Path) -> tuple[int, dict]:
         "first_value": reports.complex_pair(samples.values[0]),
         "last_value": reports.complex_pair(samples.values[-1]),
     }
-    if "csv" in cfg.formats:
-        reports.write_csv(out / "wavefunction.csv",
-                          {"x": samples.path.real, "psi": samples.values,
-                           "phase": samples.phase_integrals},
-                          reports.standard_metadata(config_hash=cfg.config_hash))
-    if cfg.svg:
-        svgplot.line_plot(out / "wavefunction.svg", samples.path.real,
-                          [np.abs(samples.values)], labels=["|psi|"],
-                          title="reconstructed wavefunction", xlabel="x", ylabel="|psi|")
-    return _EXIT_OK, summary
+    files = {
+        "wavefunction.csv": partial(reports.write_csv,
+                                    columns={"x": samples.path.real, "psi": samples.values,
+                                             "phase": samples.phase_integrals},
+                                    metadata=meta),
+        "wavefunction.svg": lambda out: svgplot.line_plot(
+            out, samples.path.real, [np.abs(samples.values)], labels=["|psi|"],
+            title="reconstructed wavefunction", xlabel="x", ylabel="|psi|"),
+    }
+    return _EXIT_OK, summary, files
 
 
-def _run_twobody(cfg: RunConfig, out: Path) -> tuple[int, dict]:
+def _run_twobody(cfg: RunConfig, meta: dict) -> tuple[int, dict, dict]:
     p = cfg.params
     tol = p["tol"]
-    meta = reports.standard_metadata(config_hash=cfg.config_hash)
     if p["kind"] == "spinning":
         params = SpinningPairParams(radius=p["radius"], gamma=p["gamma"], mass=p["mass"],
                                     p1_0=tuple(p["p1_0"]), p2_0=tuple(p["p2_0"]))
@@ -454,33 +451,31 @@ def _run_twobody(cfg: RunConfig, out: Path) -> tuple[int, dict]:
             "expected_invariant": 2.0 * (params.mass * params.radius * params.gamma ** 2) ** 2,
             "force_norm_drift": force_norm.drift, "momentum_drift_max": momentum.max_abs,
         }
-        if "csv" in cfg.formats:
-            reports.invariant_series_csv(force_norm, out / "force_norm.csv", meta)
-            reports.invariant_series_csv(momentum, out / "momentum_drift.csv", meta)
-        if "json" in cfg.formats:
-            reports.write_json(out / "invariants.json", {
+        files = {
+            "force_norm.csv": partial(reports.invariant_series_csv, force_norm, metadata=meta),
+            "momentum_drift.csv": partial(reports.invariant_series_csv, momentum, metadata=meta),
+            "invariants.json": lambda path: reports.write_json(path, {
                 "force_norm": reports.invariant_series_json(force_norm, tol),
                 "momentum_drift": reports.invariant_series_json(momentum, tol),
-            })
-        if cfg.svg:
-            drift = np.abs(force_norm.values - force_norm.mean)
-            svgplot.line_plot(out / "invariant_drift.svg", force_norm.times,
-                              [np.maximum(drift, 1e-18)], labels=["|drift|"],
-                              title="force-norm invariant drift", xlabel="t",
-                              ylabel="drift", log_y=True)
-        return (_EXIT_OK if passed else _EXIT_INVARIANT), summary
+            }),
+            "invariant_drift.svg": lambda path: svgplot.line_plot(
+                path, force_norm.times,
+                [np.maximum(np.abs(force_norm.values - force_norm.mean), 1e-18)],
+                labels=["|drift|"], title="force-norm invariant drift", xlabel="t",
+                ylabel="drift", log_y=True),
+        }
+        return (_EXIT_OK if passed else _EXIT_INVARIANT), summary, files
     amplitudes = tuple(p["amplitudes"])
     series = matrix_delta_e(
         RotationMomentum(amplitudes, p["rate"], +1), RotationMomentum(amplitudes, p["rate"], -1),
         np.linspace(0.0, p["t_end"], p["samples"]), cfg.units)
     passed = series.max_abs <= tol
     summary = {"kind": "rotation", "max_norm": series.max_abs, "tol": tol, "passed": passed}
-    if "csv" in cfg.formats:
-        reports.invariant_series_csv(series, out / "matrix_delta_e.csv", meta)
-    return (_EXIT_OK if passed else _EXIT_INVARIANT), summary
+    files = {"matrix_delta_e.csv": partial(reports.invariant_series_csv, series, metadata=meta)}
+    return (_EXIT_OK if passed else _EXIT_INVARIANT), summary, files
 
 
-def _run_oracle(cfg: RunConfig, out: Path) -> tuple[int, dict]:
+def _run_oracle(cfg: RunConfig, meta: dict) -> tuple[int, dict, dict]:
     p = cfg.params
     potential = _potential(p["potential"], cfg.units)
     grid = Grid1D(x_min=p["x_min"], x_max=p["x_max"], points=p["points"])
@@ -492,16 +487,15 @@ def _run_oracle(cfg: RunConfig, out: Path) -> tuple[int, dict]:
                                        samples=400, tol=p["check_tol"], units=cfg.units)
         summary["field_check"] = reports.scan_report_json(report)
         if not report.passed:
-            return _EXIT_INVARIANT, summary
-    meta = reports.standard_metadata(config_hash=cfg.config_hash)
-    if "csv" in cfg.formats:
-        reports.eigenpairs_csv(grid, pairs, out / "eigenstates.csv", meta)
-    if cfg.svg:
-        svgplot.line_plot(out / "eigenstates.svg", grid.xs,
-                          [pair.psi for pair in pairs],
-                          labels=[f"psi_{pair.level}" for pair in pairs],
-                          title="grid eigenstates", xlabel="x", ylabel="psi")
-    return _EXIT_OK, summary
+            return _EXIT_INVARIANT, summary, {}
+    files = {
+        "eigenstates.csv": partial(reports.eigenpairs_csv, grid, pairs, metadata=meta),
+        "eigenstates.svg": lambda path: svgplot.line_plot(
+            path, grid.xs, [pair.psi for pair in pairs],
+            labels=[f"psi_{pair.level}" for pair in pairs],
+            title="grid eigenstates", xlabel="x", ylabel="psi"),
+    }
+    return _EXIT_OK, summary, files
 
 
 _RUNNERS = {
@@ -514,32 +508,51 @@ _RUNNERS = {
 }
 
 
-def _write_summary(scenario: str, cfg: RunConfig | None, out_dir, details: dict) -> None:
-    """summary.json in ``out_dir``; ``cfg`` is the resolved config, None if none resolved."""
-    reports.write_json(Path(out_dir) / "summary.json", {
-        "tool": "momflow", "version": __version__, "scenario": scenario, "status": "ok",
-        "config_hash": None if cfg is None else cfg.config_hash,
-        "resolved_config": None if cfg is None else cfg.to_dict(), **details})
+def _write_summary(scenario: str, cfg: RunConfig | None, out_dir, details: dict) -> bool:
+    """summary.json in ``out_dir``; ``cfg`` is the resolved config, None if none resolved.
+
+    False, after an error on stderr, when it cannot be written.
+    """
+    try:
+        reports.write_json(Path(out_dir) / "summary.json", {
+            "tool": "momflow", "version": __version__, "scenario": scenario, "status": "ok",
+            "config_hash": None if cfg is None else cfg.config_hash,
+            "resolved_config": None if cfg is None else cfg.to_dict(), **details})
+    except OSError as exc:
+        print(f"error: cannot write summary.json in {out_dir}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute a resolved config; always writes summary.json.
+def _execute(cfg: RunConfig) -> tuple[int, dict]:
+    """(exit code, summary details) of ``cfg``'s run, after writing the files
+    whose suffix ``formats`` or ``svg`` enables; a failed run writes none.
 
     A library type's ValueError is a setting it refuses: a config error.
     """
+    enabled = {f".{kind}" for kind in cfg.formats} | ({".svg"} if cfg.svg else set())
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
-        code, details = _RUNNERS[cfg.scenario](cfg, out)
-        if code == _EXIT_INVARIANT:
-            details["status"] = "invariant-failed"
+        out.mkdir(parents=True, exist_ok=True)
+        code, details, files = _RUNNERS[cfg.scenario](
+            cfg, reports.standard_metadata(config_hash=cfg.config_hash))
+        for name, write in files.items():
+            if Path(name).suffix in enabled:
+                write(out / name)
     except (ConfigError, ValueError) as exc:
         where = "" if isinstance(exc, ConfigError) else f"{cfg.scenario.replace('-', '_')}: "
-        code, details = _EXIT_CONFIG, {"status": "config-error", "error": f"{where}{exc}"}
-    except MomflowError as exc:
-        code, details = _EXIT_CONFIG, {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
-    _write_summary(cfg.scenario, cfg, out, details)
-    return code
+        return _EXIT_CONFIG, {"status": "config-error", "error": f"{where}{exc}"}
+    except (MomflowError, OSError) as exc:
+        return _EXIT_CONFIG, {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
+    if code == _EXIT_INVARIANT:
+        details["status"] = "invariant-failed"
+    return code, details
+
+
+def run(cfg: RunConfig) -> int:
+    """Execute a resolved config and write summary.json; exit code 1 if it cannot be written."""
+    code, details = _execute(cfg)
+    return code if _write_summary(cfg.scenario, cfg, cfg.out_dir, details) else _EXIT_CONFIG
 
 
 def main(argv=None) -> int:
@@ -601,11 +614,12 @@ def main(argv=None) -> int:
                                   f"has no {key!r} setting to override")
         cfg = _resolve_block(cfg, {**cfg.params, **flags})
     except ConfigError as exc:
-        _write_summary(cfg.scenario, resolved, cfg.out_dir,
-                       {"status": "config-error", "error": str(exc)})
-        code = _EXIT_CONFIG
+        code, details = _EXIT_CONFIG, {"status": "config-error", "error": str(exc)}
     else:
-        code = run(cfg)
+        resolved = cfg
+        code, details = _execute(cfg)
+    if not _write_summary(cfg.scenario, resolved, cfg.out_dir, details):
+        return _EXIT_CONFIG
     summary_path = Path(cfg.out_dir) / "summary.json"
     print(f"scenario {cfg.scenario}: "
           f"{'ok' if code == _EXIT_OK else 'failed'} (summary: {summary_path})")

@@ -163,38 +163,26 @@ class UnitSystem:
 
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Absolute/relative comparison tolerances plus the node guard radius.
+    """The node guard radius.
 
     ``node_guard`` is the minimum allowed distance to a field singularity
     (a wavefunction node); evaluation inside it raises instead of
     returning garbage.
     """
 
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
     node_guard: float = 1e-6
 
     def __post_init__(self):
-        for name in ("abs_tol", "rel_tol", "node_guard"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"TolerancePolicy.{name} must be finite, got {value!r}")
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise ValueError("tolerances must be non-negative")
-        if self.abs_tol + self.rel_tol <= 0:
-            raise ValueError("abs_tol + rel_tol must be positive")
-        if not self.node_guard > 0:
-            raise ValueError("node_guard must be positive")
-
-    def close(self, a, b) -> bool:
-        return bool(abs(a - b) <= self.abs_tol + self.rel_tol * max(abs(a), abs(b)))
+        if not (math.isfinite(self.node_guard) and self.node_guard > 0):
+            raise ValueError(f"TolerancePolicy.node_guard must be finite and positive, "
+                             f"got {self.node_guard!r}")
 
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Master seed plus the substream derivation rule.
+    """Master seed of the member streams.
 
-    Rule 0 (the only one defined) seeds trajectory ``i``'s stream with
+    Trajectory ``i``'s stream is seeded with
     ``mix_seed(master_seed, i)`` (splitmix64), which numpy's
     ``SeedSequence`` hashes into a PCG64 state: the stream is
     ``substream_rng(spec, i)``.  ``substream_uniforms`` and
@@ -205,21 +193,15 @@ class SeedSpec:
     """
 
     master_seed: int
-    rule: int = 0
 
     def __post_init__(self):
         if not 0 <= self.master_seed <= _MASK64:
             raise ValueError("master_seed must fit in 64 bits")
-        if self.rule != 0:
-            raise ValueError(f"unknown stream derivation rule {self.rule}")
-
-    def stream_seed(self, index: int) -> int:
-        return mix_seed(self.master_seed, index)
 
 
 def substream_rng(spec: SeedSpec, index: int) -> np.random.Generator:
     """Independent, reproducible generator for one trajectory index."""
-    return np.random.default_rng(spec.stream_seed(index))
+    return np.random.default_rng(mix_seed(spec.master_seed, index))
 
 
 def substream_uniforms(spec: SeedSpec, first: int, count: int, draws: int) -> np.ndarray:

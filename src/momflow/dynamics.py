@@ -226,12 +226,19 @@ def _integrate(field: MomentumField, x0, config: IntegratorConfig, times,
 
     A member retires as NEAR_NODE when it lies within twice the node guard
     of a pole, when its next step would move it (by the 1-norm of its
-    velocity) more than half its distance to the pole, or when its update
-    is not finite; it retires as STEP_UNDERFLOW when its rkf45 proposal
-    falls below ``dt_min``.  Returns (last, term_time, term_reason, steps):
-    the state each member ended in, the time it retired (nan if it
-    completed), its outcome code, and the most steps any member accepted.
+    velocity) more than half its distance to the pole, or, under rk4, when
+    its update is not finite.  It retires as STEP_UNDERFLOW when its rkf45
+    proposal falls below ``dt_min``; a non-finite rkf45 update has a
+    non-finite error estimate, which is rejected until that happens.  The
+    stepping runs with numpy's overflow, invalid and divide-by-zero
+    warnings off, since those values only ever retire a member.  Returns
+    (last, term_time, term_reason, steps): the state each member ended in,
+    the time it retired (nan if it completed), its outcome code, and the
+    most steps any member accepted.  A field that is not holomorphic
+    raises ValueError: a member generally leaves the real axis.
     """
+    if not field.holomorphic:
+        raise ValueError("trajectory evolution needs a field evaluable at complex positions")
     n = x0.shape[0]
     inv_m = 1.0 / units.mass
     node_guard = field.tolerance.node_guard
@@ -296,108 +303,108 @@ def _integrate(field: MomentumField, x0, config: IntegratorConfig, times,
             np.multiply(ks[i], c, out=tmp)
             out += tmp
 
-    if config.scheme == "rk4":
-        for t, h, t_next, k in _rk4_schedule(times, config.dt):
-            k1, _ = guarded_k1(t, h)
-            if not ids.size:
-                break
-            np.multiply(k1, 0.5 * h, out=arg)
-            arg += x
-            k2 = rhs(arg)
-            np.multiply(k2, 0.5 * h, out=arg)
-            arg += x
-            k3 = rhs(arg)
-            np.multiply(k3, h, out=arg)
-            arg += x
-            k4 = rhs(arg)
-            # x + (h/6) * (k1 + 2 k2 + 2 k3 + k4), summed in that order
-            np.multiply(k2, 2.0, out=acc)
-            acc += k1
-            np.multiply(k3, 2.0, out=arg)
-            acc += arg
-            acc += k4
-            acc *= h / 6.0
-            acc += x
-            flat = acc.view(float)
-            if not np.isfinite(flat).all():
-                finite = np.isfinite(flat.reshape(len(acc), -1)).all(axis=1)
-                new = acc[finite]
-                drop(~finite, t, NEAR_NODE)
-                x[...] = new
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        if config.scheme == "rk4":
+            for t, h, t_next, k in _rk4_schedule(times, config.dt):
+                k1, _ = guarded_k1(t, h)
                 if not ids.size:
                     break
-            else:
-                x, acc = acc, x
-            steps += 1
-            if accepted is not None:
-                accepted(t_next, ids, x, h)
-            if k and land is not None:
-                land(k, ids, x)
-    else:
-        # each member's clock, step proposal, next sample index and
-        # accepted-step count; drop compacts them with ids and x
-        cols[:] = [np.full(n, times[0]), np.full(n, min(config.dt, config.dt_max)),
-                   np.ones(n, dtype=np.intp), np.zeros(n, dtype=np.intp)]
-        hks = np.empty((6,) + x.shape, dtype=complex)  # the stage increments h * k
-        err_buf, scale_buf = np.empty(x.shape), np.empty(x.shape)
-        while ids.size:
-            clock, proposal, nxt, taken = cols
-            under = proposal < config.dt_min
-            if under.any():
-                drop(under, clock, STEP_UNDERFLOW)
-                continue
-            target = times[nxt]
-            room = target - clock
-            h = np.minimum(proposal, room)
-            k1, keep = guarded_k1(clock, h)
-            if keep is not None:
-                if not ids.size:
-                    break
-                clock, proposal, nxt, taken = cols
-                target, room, h = target[keep], room[keep], h[keep]
-            m = ids.size
-            hc = h.astype(complex)[:, None]  # the cast each multiply would make
-            hk = hks[:, :m]
-            np.multiply(k1, hc, out=hk[0])
-            for stage in range(1, 6):
-                weighted_sum(arg, acc, enumerate(_RKF_A[stage]), hk)
+                np.multiply(k1, 0.5 * h, out=arg)
                 arg += x
-                np.multiply(rhs(arg), hc, out=hk[stage])
-            weighted_sum(acc, arg, _RKF_ERR, hk)
-            err = np.abs(acc, out=err_buf[:m])
-            scale = np.abs(x, out=scale_buf[:m])
-            scale *= config.rel_tol
-            scale += config.abs_tol
-            err /= scale
-            ratio = err.max(axis=1)
-            ok = ratio <= 1.0  # a non-finite estimate is a rejection
-            weighted_sum(acc, arg, _RKF_B4, hk)
-            acc += x
-            x = np.where(ok[:, None], acc, x)
+                k2 = rhs(arg)
+                np.multiply(k2, 0.5 * h, out=arg)
+                arg += x
+                k3 = rhs(arg)
+                np.multiply(k3, h, out=arg)
+                arg += x
+                k4 = rhs(arg)
+                # x + (h/6) * (k1 + 2 k2 + 2 k3 + k4), summed in that order
+                np.multiply(k2, 2.0, out=acc)
+                acc += k1
+                np.multiply(k3, 2.0, out=arg)
+                acc += arg
+                acc += k4
+                acc *= h / 6.0
+                acc += x
+                flat = acc.view(float)
+                if not np.isfinite(flat).all():
+                    finite = np.isfinite(flat.reshape(len(acc), -1)).all(axis=1)
+                    new = acc[finite]
+                    drop(~finite, t, NEAR_NODE)
+                    x[...] = new
+                    if not ids.size:
+                        break
+                else:
+                    x, acc = acc, x
+                steps += 1
+                if accepted is not None:
+                    accepted(t_next, ids, x, h)
+                if k and land is not None:
+                    land(k, ids, x)
+        else:
+            # each member's clock, step proposal, next sample index and
+            # accepted-step count; drop compacts them with ids and x
+            cols[:] = [np.full(n, times[0]), np.full(n, min(config.dt, config.dt_max)),
+                       np.ones(n, dtype=np.intp), np.zeros(n, dtype=np.intp)]
+            hks = np.empty((6,) + x.shape, dtype=complex)  # the stage increments h * k
+            err_buf, scale_buf = np.empty(x.shape), np.empty(x.shape)
+            while ids.size:
+                clock, proposal, nxt, taken = cols
+                under = proposal < config.dt_min
+                if under.any():
+                    drop(under, clock, STEP_UNDERFLOW)
+                    continue
+                target = times[nxt]
+                room = target - clock
+                h = np.minimum(proposal, room)
+                k1, keep = guarded_k1(clock, h)
+                if keep is not None:
+                    if not ids.size:
+                        break
+                    clock, proposal, nxt, taken = cols
+                    target, room, h = target[keep], room[keep], h[keep]
+                m = ids.size
+                hc = h.astype(complex)[:, None]  # the cast each multiply would make
+                hk = hks[:, :m]
+                np.multiply(k1, hc, out=hk[0])
+                for stage in range(1, 6):
+                    weighted_sum(arg, acc, enumerate(_RKF_A[stage]), hk)
+                    arg += x
+                    np.multiply(rhs(arg), hc, out=hk[stage])
+                weighted_sum(acc, arg, _RKF_ERR, hk)
+                err = np.abs(acc, out=err_buf[:m])
+                scale = np.abs(x, out=scale_buf[:m])
+                scale *= config.rel_tol
+                scale += config.abs_tol
+                err /= scale
+                ratio = err.max(axis=1)
+                ok = ratio <= 1.0  # a non-finite estimate is a rejection
+                weighted_sum(acc, arg, _RKF_B4, hk)
+                acc += x
+                x = np.where(ok[:, None], acc, x)
 
-            with np.errstate(divide="ignore"):
                 factor = ratio ** -0.2
-            factor *= 0.9
-            np.fmax(factor, 0.2, out=factor)  # also maps a nan ratio to 0.2
-            np.fmin(factor, 5.0, out=factor)
-            # an accepted step that was clipped lands on its target and
-            # keeps its proposal; t + h of an unclipped one never passes it
-            lands = ok & (proposal >= room)
-            np.multiply(h, factor, out=factor)
-            np.minimum(factor, config.dt_max, out=factor)
-            cols[0] = np.where(ok, np.where(lands, target, clock + h), clock)
-            cols[1] = np.where(lands, proposal, factor)
-            taken += ok
-            if accepted is not None and ok.any():
-                accepted(cols[0][ok], ids[ok], x[ok], h[ok])
-            landed = np.flatnonzero(lands)
-            if landed.size:
-                if land is not None:
-                    land(nxt[landed], ids[landed], x[landed])
-                finished = lands & (nxt == len(times) - 1)
-                nxt += lands
-                if finished.any():
-                    drop(finished)
+                factor *= 0.9
+                np.fmax(factor, 0.2, out=factor)  # also maps a nan ratio to 0.2
+                np.fmin(factor, 5.0, out=factor)
+                # an accepted step that was clipped lands on its target and
+                # keeps its proposal; t + h of an unclipped one never passes it
+                lands = ok & (proposal >= room)
+                np.multiply(h, factor, out=factor)
+                np.minimum(factor, config.dt_max, out=factor)
+                cols[0] = np.where(ok, np.where(lands, target, clock + h), clock)
+                cols[1] = np.where(lands, proposal, factor)
+                taken += ok
+                if accepted is not None and ok.any():
+                    accepted(cols[0][ok], ids[ok], x[ok], h[ok])
+                landed = np.flatnonzero(lands)
+                if landed.size:
+                    if land is not None:
+                        land(nxt[landed], ids[landed], x[landed])
+                    finished = lands & (nxt == len(times) - 1)
+                    nxt += lands
+                    if finished.any():
+                        drop(finished)
     last[ids] = x
     return last, term_time, term_reason, steps
 
@@ -416,8 +423,6 @@ def evolve(field: MomentumField, potential: PotentialField, x0, config: Integrat
     an rkf45 step size below ``dt_min`` halts it with StepUnderflow.
     ``potential`` is not used: the momentum is slaved to the field.
     """
-    if not field.holomorphic:
-        raise ValueError("trajectory evolution needs a field evaluable at complex positions")
     start, _ = _as_points(x0, field.dimension)
     if start.shape[0] != 1:
         raise ValueError(f"evolve starts from one position, got {start.shape[0]}")

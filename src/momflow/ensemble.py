@@ -18,7 +18,7 @@ per member, so results are bit-identical however the members are blocked
 and whichever process evolves a block.
 
 Initial points are drawn on the real axis from per-member substreams.
-Seed rule 0 is splitmix64 (``mix_seed``), then numpy's ``SeedSequence``,
+Seeding is splitmix64 (``mix_seed``), then numpy's ``SeedSequence``,
 then PCG64.  The PCG64 states of the whole batch are derived at once,
 and uniform and Gaussian draws are made from them for the whole batch as
 well, bit for bit as numpy's ``Generator.random`` and ``Generator.normal``

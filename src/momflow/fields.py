@@ -478,9 +478,9 @@ def product_field(factors, tolerance: TolerancePolicy | None = None) -> Momentum
 
 
 class PotentialField:
-    """Scalar potential with a gradient evaluator (numeric fallback)."""
+    """Scalar potential with its gradient evaluator."""
 
-    def __init__(self, value_fn, gradient_fn=None, dimension: int = 1):
+    def __init__(self, value_fn, gradient_fn, dimension: int = 1):
         self.dimension = int(dimension)
         self._value_fn = value_fn
         self._gradient_fn = gradient_fn
@@ -489,9 +489,7 @@ class PotentialField:
         return np.asarray(self._value_fn(pts), dtype=complex)
 
     def _gradient_at(self, pts):
-        if self._gradient_fn is not None:
-            return np.asarray(self._gradient_fn(pts), dtype=complex)
-        return _richardson_gradient(self._value_at, pts)
+        return np.asarray(self._gradient_fn(pts), dtype=complex)
 
     def value(self, r):
         pts, restore = _as_points(r, self.dimension)

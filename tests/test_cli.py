@@ -9,7 +9,7 @@ import pytest
 
 import momflow
 from momflow import reports
-from momflow.cli import ConfigError, config_from_dict, load_config, main
+from momflow.cli import ConfigError, config_from_dict, main
 
 
 def write_config(tmp_path, payload, name="run.json"):
@@ -291,6 +291,71 @@ def test_oracle_scenario_with_field_check(tmp_path):
     assert len(summary["energies"]) == 2
     assert summary["field_check"]["passed"] is True
     assert (out / "eigenstates.csv").exists()
+
+
+# -- output policy --------------------------------------------------------------------
+
+# Small configs for each row of the README Outputs table, with the files each
+# writes under the csv and json formats and with svg.
+OUTPUT_CASES = {
+    "field-scan": ("field-scan", {"field_scan": {"samples": 50}},
+                   {"csv": {"field_scan.csv"}, "svg": {"field_scan.svg"}}),
+    "evolve": ("evolve", {"evolve": {"dt": 0.01, "t_end": 0.1}},
+               {"csv": {"trajectory.csv"}, "json": {"trajectory.json"},
+                "svg": {"trajectory.svg"}}),
+    "ensemble": ("ensemble", {"ensemble": {"count": 10, "region": [0.8, 1.2], "dt": 0.01,
+                                           "t_end": 0.1, "histogram_times": [0.0, 0.1],
+                                           "dump_trajectories": True}},
+                 {"csv": {"histogram_t0.csv", "histogram_t0.1.csv", "members.csv"},
+                  "svg": {"histogram_t0.svg", "histogram_t0.1.svg"}}),
+    "reconstruct": ("reconstruct", {"reconstruct": {"path": {"nodes": 12}}},
+                    {"csv": {"wavefunction.csv"}, "svg": {"wavefunction.svg"}}),
+    "twobody-spinning": ("twobody", {"twobody": {"kind": "spinning", "samples": 50}},
+                         {"csv": {"force_norm.csv", "momentum_drift.csv"},
+                          "json": {"invariants.json"}, "svg": {"invariant_drift.svg"}}),
+    "twobody-rotation": ("twobody", {"twobody": {"kind": "rotation", "samples": 20}},
+                         {"csv": {"matrix_delta_e.csv"}}),
+    "oracle": ("oracle", {"oracle": {"points": 200, "states": 2}},
+               {"csv": {"eigenstates.csv"}, "svg": {"eigenstates.svg"}}),
+}
+
+
+@pytest.mark.parametrize("case", OUTPUT_CASES)
+def test_formats_and_svg_decide_every_file_a_run_writes(tmp_path, case):
+    scenario, block, files = OUTPUT_CASES[case]
+    for formats in (["csv"], ["json"], []):
+        for svg in (False, True):
+            out = tmp_path / f"{'-'.join(formats)}-{svg}"
+            path = write_config(tmp_path, {"scenario": scenario, "out_dir": str(out),
+                                           "formats": formats, "svg": svg, **block})
+            assert main([scenario, "--config", str(path)]) == 0
+            expected = {"summary.json"}.union(
+                *(files.get(kind, set()) for kind in formats + ["svg"] * svg))
+            assert {p.name for p in out.iterdir()} == expected, (formats, svg)
+
+
+def test_a_failed_run_writes_only_its_summary(tmp_path):
+    out = tmp_path / "run"
+    path = write_config(tmp_path, {
+        "scenario": "ensemble",
+        "out_dir": str(out),
+        "ensemble": {"count": 10, "region": [0.8, 1.2], "dt": 0.01, "t_end": 0.1,
+                     "histogram_times": [0.05, 9.0]},
+    })
+    assert main(["ensemble", "--config", str(path)]) == 1
+    assert [p.name for p in out.iterdir()] == ["summary.json"]
+    assert "TimeOutOfRange" in read_summary(out)["error"]
+
+
+def test_an_out_dir_that_cannot_be_made_is_an_error_on_stderr(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "sub"
+    path = write_config(tmp_path, {"scenario": "evolve", "out_dir": str(out),
+                                   "evolve": {"dt": 0.01, "t_end": 0.1}})
+    assert main(["evolve", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+    assert "summary" not in captured.out
 
 
 def test_invalid_nested_config_still_writes_summary(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from momflow import (
     DensityHistogram,
     EnsembleSpec,
+    Grid1D,
     IntegratorConfig,
     MomentumField,
     SeedSpec,
@@ -16,17 +17,21 @@ from momflow import (
     compare_density_to_born,
     density_histogram,
     draw_measurement,
+    evolve,
     evolve_ensemble,
+    field_from_grid,
+    field_from_wavefunction,
     gaussian_distribution,
     harmonic_potential,
     qho_analytic_position,
     qho_field,
     sample_initial,
+    solve_schrodinger_1d,
     uniform_distribution,
 )
 from momflow import core, ensemble
 from momflow.core import _STATE_BATCH, NATURAL_UNITS, substream_rng
-from momflow.dynamics import NEAR_NODE, STEP_UNDERFLOW, _integrate
+from momflow.dynamics import COMPLETED, NEAR_NODE, STEP_UNDERFLOW, _integrate
 from momflow.ensemble import _BLOCK_BYTES, _MIN_WORKER_BLOCK, REASON_LABELS, _blocks
 from momflow.errors import EmptyRegion, RegionOverlapsSingularity, TimeOutOfRange, ZeroMass
 
@@ -214,6 +219,20 @@ def test_energy_drift_skips_retired_members():
     assert np.isnan(whole_array_drift(result)) and np.isnan(result.max_energy_drift())
 
 
+@pytest.mark.parametrize("kind", ["grid", "wavefunction"])
+def test_evolution_refuses_a_field_not_evaluable_off_the_real_axis(kind):
+    if kind == "grid":
+        grid = Grid1D(-8.0, 8.0, 2000)
+        field = field_from_grid(solve_schrodinger_1d(POT, grid, 2)[1], grid)
+    else:
+        field = field_from_wavefunction(lambda x: x * np.exp(-0.5 * x * x), nodes=[0.0])
+    spec = make_spec(count=5, region=(1.0, 2.0), t_end=0.5, dt=1e-3, snapshots=3)
+    with pytest.raises(ValueError, match="complex positions"):
+        evolve_ensemble(field, POT, spec)
+    with pytest.raises(ValueError, match="complex positions"):
+        evolve(field, POT, 1.5, spec.integrator)
+
+
 def test_identical_specs_give_identical_histograms():
     spec = make_spec(count=400, t_end=2.0)
     h1 = density_histogram(evolve_ensemble(FIELD, POT, spec), 2.0, 30)
@@ -379,6 +398,26 @@ def test_stepper_survives_a_field_returning_its_argument(scheme):
     assert np.max(np.abs(a.positions[-1, :, 0] - x0 * np.exp(a.times[-1]))) < 1e-6
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scheme, reason, stop", [("rk4", NEAR_NODE, 0.4),
+                                                  ("rkf45", STEP_UNDERFLOW, 0.405)])
+def test_a_non_finite_update_retires_the_member_without_a_warning(scheme, reason, stop):
+    # p is +inf left of Re x = 1.15, which the member from 1.2 reaches near t = 0.4:
+    # rk4 retires it on its non-finite update, and rkf45 rejects its nan
+    # error estimate until the step underflows.
+    def value(pts):
+        return np.where(pts.real < 1.15, np.inf, FIELD._value_at(pts, check=False))
+
+    field = MomentumField(1, value, poles=FIELD.poles, holomorphic=True)
+    last, term_time, term_reason, _ = _integrate(
+        field, np.array([[1.29], [1.2], [1.5]], dtype=complex),
+        IntegratorConfig(t_end=0.5, scheme=scheme, dt=1e-2), np.linspace(0.0, 0.5, 6),
+        NATURAL_UNITS)
+    assert term_reason.tolist() == [COMPLETED, reason, COMPLETED]
+    assert term_time[1] == pytest.approx(stop, abs=1e-3)
+    assert np.isnan(term_time[[0, 2]]).all() and np.isfinite(last).all()
+
+
 def test_aggregates_ignore_member_order():
     spec = make_spec(count=400, t_end=1.0)
     result = evolve_ensemble(FIELD, POT, spec)
@@ -532,7 +571,7 @@ def test_a_failing_block_raises_in_the_caller_and_leaves_no_child(monkeypatch, r
         return FIELD._value_at(pts, check=False)
 
     field = MomentumField(1, value, jacobian_fn=lambda pts: FIELD._jacobian_at(pts, check=False),
-                          poles=FIELD.poles, tolerance=FIELD.tolerance)
+                          poles=FIELD.poles, holomorphic=True, tolerance=FIELD.tolerance)
     monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 64 * 16)
     monkeypatch.setattr(ensemble, "_WORKERS", 2)
     with pytest.raises(expected, match=message):
