@@ -13,8 +13,9 @@ where the resolved block has it, and are a config error elsewhere.
 A run writes the files whose suffix the config enables (``.csv`` and
 ``.json`` by ``formats``, ``.svg`` by ``svg``), then ``summary.json``
 with the ``resolved_config`` and the ``config_hash`` covering it, both
-null when the config does not resolve; a failed run writes only
-``summary.json``.  Only a config that cannot be read, or whose top level
+null when the config does not resolve, and the sorted names of the files
+written under ``files``; a failed run writes only ``summary.json``, with
+``files`` empty.  Only a config that cannot be read, or whose top level
 is in error and names no string ``out_dir`` (nor --out), ends without
 one, as does an ``out_dir`` that cannot be written (an error on stderr).
 Exit codes: 0 success, 1 usage/config error, 2 a physics invariant check
@@ -33,38 +34,10 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-from numpy.polynomial import Hermite
 
-from . import __version__
+from . import __version__, reports
 from .core import NATURAL_UNITS, SeedSpec, UnitSystem
-from .dynamics import IntegratorConfig, evolve
-from .ensemble import (
-    Distribution,
-    EnsembleSpec,
-    compare_density_to_born,
-    density_histogram,
-    evolve_ensemble,
-)
 from .errors import MomflowError, TrajectoryNearSingularity
-from .fields import (
-    energy_constancy_scan,
-    harmonic_potential,
-    polynomial_potential,
-    qho_field,
-    reconstruct_wavefunction,
-    zero_potential,
-    constant_potential,
-)
-from .gridsolver import Grid1D, field_from_grid, solve_schrodinger_1d
-from .twobody import (
-    RotationMomentum,
-    SpinningPairParams,
-    force_norm_invariant,
-    matrix_delta_e,
-    spinning_pair_history,
-    total_momentum_drift,
-)
-from . import reports, svgplot
 
 SCENARIOS = ("field-scan", "evolve", "ensemble", "reconstruct", "twobody", "oracle")
 
@@ -291,6 +264,9 @@ def config_from_dict(data) -> RunConfig:
 
 
 def _potential(block, units):
+    from .fields import (constant_potential, harmonic_potential, polynomial_potential,
+                         zero_potential)
+
     kind = block["kind"]
     if kind == "polynomial":
         return polynomial_potential(block["coefficients"])
@@ -302,10 +278,14 @@ def _potential(block, units):
 # -- scenario runners -----------------------------------------------------------
 # A runner returns (exit code, summary details, files): ``files`` maps a file
 # name to a function that writes that file to a path.  ``meta`` is the CSV
-# metadata block.
+# metadata block.  Each runner imports the modules it uses, so a run loads
+# only its own scenario's code.
 
 
 def _run_field_scan(cfg: RunConfig, meta: dict) -> tuple[int, dict, dict]:
+    from . import svgplot
+    from .fields import energy_constancy_scan, qho_field
+
     p = cfg.params
     field = qho_field(p["field"]["level"], cfg.units)
     report = energy_constancy_scan(field, _potential(p["potential"], cfg.units), p["region"],
@@ -320,6 +300,10 @@ def _run_field_scan(cfg: RunConfig, meta: dict) -> tuple[int, dict, dict]:
 
 
 def _run_evolve(cfg: RunConfig, meta: dict) -> tuple[int, dict, dict]:
+    from . import svgplot
+    from .dynamics import IntegratorConfig, evolve
+    from .fields import qho_field
+
     p = cfg.params
     field = qho_field(p["field"]["level"], cfg.units)
     x0 = complex(*p["x0"])
@@ -353,6 +337,12 @@ def _run_evolve(cfg: RunConfig, meta: dict) -> tuple[int, dict, dict]:
 
 
 def _run_ensemble(cfg: RunConfig, meta: dict) -> tuple[int, dict, dict]:
+    from . import svgplot
+    from .dynamics import IntegratorConfig
+    from .ensemble import (Distribution, EnsembleSpec, compare_density_to_born,
+                           density_histogram, evolve_ensemble)
+    from .fields import qho_field
+
     p = cfg.params
     spec = EnsembleSpec(count=p["count"], region=tuple(p["region"]),
                         distribution=Distribution(**p["distribution"]), seed=SeedSpec(p["seed"]),
@@ -362,6 +352,8 @@ def _run_ensemble(cfg: RunConfig, meta: dict) -> tuple[int, dict, dict]:
                           "for more than 100000 members")
     born_psi = None
     if "born_reference" in p:
+        from numpy.polynomial import Hermite
+
         a = cfg.units.mass * cfg.units.omega / cfg.units.hbar
         h_n = Hermite.basis(p["born_reference"]["level"])
 
@@ -410,6 +402,9 @@ def _run_ensemble(cfg: RunConfig, meta: dict) -> tuple[int, dict, dict]:
 
 
 def _run_reconstruct(cfg: RunConfig, meta: dict) -> tuple[int, dict, dict]:
+    from . import svgplot
+    from .fields import qho_field, reconstruct_wavefunction
+
     p = cfg.params
     path = p["path"]
     amplitude = complex(*p["amplitude"])
@@ -435,6 +430,10 @@ def _run_reconstruct(cfg: RunConfig, meta: dict) -> tuple[int, dict, dict]:
 
 
 def _run_twobody(cfg: RunConfig, meta: dict) -> tuple[int, dict, dict]:
+    from . import svgplot
+    from .twobody import (RotationMomentum, SpinningPairParams, force_norm_invariant,
+                          matrix_delta_e, spinning_pair_history, total_momentum_drift)
+
     p = cfg.params
     tol = p["tol"]
     if p["kind"] == "spinning":
@@ -476,6 +475,10 @@ def _run_twobody(cfg: RunConfig, meta: dict) -> tuple[int, dict, dict]:
 
 
 def _run_oracle(cfg: RunConfig, meta: dict) -> tuple[int, dict, dict]:
+    from . import svgplot
+    from .fields import energy_constancy_scan
+    from .gridsolver import Grid1D, field_from_grid, solve_schrodinger_1d
+
     p = cfg.params
     potential = _potential(p["potential"], cfg.units)
     grid = Grid1D(x_min=p["x_min"], x_max=p["x_max"], points=p["points"])
@@ -517,7 +520,7 @@ def _write_summary(scenario: str, cfg: RunConfig | None, out_dir, details: dict)
         reports.write_json(Path(out_dir) / "summary.json", {
             "tool": "momflow", "version": __version__, "scenario": scenario, "status": "ok",
             "config_hash": None if cfg is None else cfg.config_hash,
-            "resolved_config": None if cfg is None else cfg.to_dict(), **details})
+            "resolved_config": None if cfg is None else cfg.to_dict(), "files": [], **details})
     except OSError as exc:
         print(f"error: cannot write summary.json in {out_dir}: {exc}", file=sys.stderr)
         return False
@@ -527,6 +530,7 @@ def _write_summary(scenario: str, cfg: RunConfig | None, out_dir, details: dict)
 def _execute(cfg: RunConfig) -> tuple[int, dict]:
     """(exit code, summary details) of ``cfg``'s run, after writing the files
     whose suffix ``formats`` or ``svg`` enables; a failed run writes none.
+    The details name the files written, sorted, under ``files``.
 
     A library type's ValueError is a setting it refuses: a config error.
     """
@@ -536,9 +540,9 @@ def _execute(cfg: RunConfig) -> tuple[int, dict]:
         out.mkdir(parents=True, exist_ok=True)
         code, details, files = _RUNNERS[cfg.scenario](
             cfg, reports.standard_metadata(config_hash=cfg.config_hash))
-        for name, write in files.items():
-            if Path(name).suffix in enabled:
-                write(out / name)
+        written = sorted(name for name in files if Path(name).suffix in enabled)
+        for name in written:
+            files[name](out / name)
     except (ConfigError, ValueError) as exc:
         where = "" if isinstance(exc, ConfigError) else f"{cfg.scenario.replace('-', '_')}: "
         return _EXIT_CONFIG, {"status": "config-error", "error": f"{where}{exc}"}
@@ -546,6 +550,7 @@ def _execute(cfg: RunConfig) -> tuple[int, dict]:
         return _EXIT_CONFIG, {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
     if code == _EXIT_INVARIANT:
         details["status"] = "invariant-failed"
+    details["files"] = written
     return code, details
 
 

@@ -344,14 +344,23 @@ def qho_field(level: int, units: UnitSystem = NATURAL_UNITS,
     a = units.mass * units.omega / units.hbar
     sqrt_a = np.sqrt(a)
     hbar = units.hbar
+    two_sqrt_a = (2.0 * sqrt_a).item()
 
-    def log_deriv(x, scale=1.0):  # scale * psi'/psi
+    def constants(scale):  # (2n sqrt(a), a, -a), each times scale, as Python numbers
+        return tuple(np.asarray(c).item()
+                     for c in ((2.0 * level * sqrt_a) * scale, a * scale, -a * scale))
+
+    # the kernel's scalars, worked out once rather than on numpy scalars at every call
+    real, momentum = constants(1.0), constants(-1j * hbar)
+
+    def log_deriv(x, scaled=real):  # scale * psi'/psi, with ``scaled`` = constants(scale)
+        ratio_scale, a_scale, minus_a_scale = scaled
         if level == 0:
-            return (-a * scale) * x
-        two_z = (2.0 * sqrt_a) * x
+            return minus_a_scale * x
+        two_z = two_sqrt_a * x
         r = _hermite_ratio(level, two_z)
-        r *= (2.0 * level * sqrt_a) * scale
-        np.multiply(x, a * scale, out=two_z)
+        r *= ratio_scale
+        np.multiply(x, a_scale, out=two_z)
         r -= two_z
         return r
 
@@ -359,7 +368,7 @@ def qho_field(level: int, units: UnitSystem = NATURAL_UNITS,
         return a * a * x * x - (2 * level + 1) * a
 
     def value(pts):
-        return log_deriv(pts[:, 0], -1j * hbar)[:, None]
+        return log_deriv(pts[:, 0], momentum)[:, None]
 
     def jacobian(pts):
         x = pts[:, 0]

@@ -59,19 +59,24 @@ class _Frame:
     def __init__(self, x_lo, x_hi, y_lo, y_hi, log_y=False):
         if x_hi <= x_lo:
             x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-        if y_hi <= y_lo:
-            y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+        if y_hi <= y_lo:  # a decade either side on a log axis, which has no room below 0
+            y_lo, y_hi = (y_lo / 10.0, y_hi * 10.0) if log_y else (y_lo - 0.5, y_hi + 0.5)
         self.x_lo, self.x_hi = x_lo, x_hi
         self.y_lo, self.y_hi = y_lo, y_hi
         self.log_y = log_y
 
     def px(self, x):
+        """Pixel column of a value or, element by element, of an array."""
         f = (x - self.x_lo) / (self.x_hi - self.x_lo)
         return _MARGIN_L + f * (_WIDTH - _MARGIN_L - _MARGIN_R)
 
     def py(self, y):
+        """Pixel row of a value or, element by element, of an array."""
         if self.log_y:
-            f = (math.log10(y) - math.log10(self.y_lo)) / (
+            # math.log10 per value, so the bits do not depend on numpy's log10
+            log = (np.array(list(map(math.log10, y.tolist())))
+                   if isinstance(y, np.ndarray) else math.log10(y))
+            f = (log - math.log10(self.y_lo)) / (
                 math.log10(self.y_hi) - math.log10(self.y_lo))
         else:
             f = (y - self.y_lo) / (self.y_hi - self.y_lo)
@@ -113,6 +118,11 @@ def _axes(frame, title, xlabel, ylabel):
     return parts
 
 
+def _polyline(frame, xs, ys, color) -> str:
+    points = " ".join(map("{:.2f},{:.2f}".format, frame.px(xs).tolist(), frame.py(ys).tolist()))
+    return f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+
+
 def _document(parts):
     body = "\n".join(parts)
     return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
@@ -147,10 +157,7 @@ def line_plot(path, x, series, labels=None, title="", xlabel="", ylabel="",
     parts = _axes(frame, title, xlabel, ylabel)
     for i, (xs, ys) in enumerate(kept):
         color = _PALETTE[i % len(_PALETTE)]
-        points = " ".join(f"{_fmt(frame.px(a))},{_fmt(frame.py(b))}"
-                          for a, b in zip(xs, ys))
-        parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
-                     'stroke-width="1.5"/>')
+        parts.append(_polyline(frame, xs, ys, color))
         if labels:
             ly = _MARGIN_T + 14 + 14 * i
             lx = _WIDTH - _MARGIN_R - 140
@@ -187,12 +194,8 @@ def histogram_plot(path, edges, counts, overlay=None, title="", xlabel="",
                      f'width="{_fmt(x_right - x_left)}" height="{_fmt(base - top)}" '
                      'fill="#1f77b4" fill-opacity="0.6" stroke="#1f77b4"/>')
     if overlay is not None:
-        ox = np.asarray(overlay[0], float)
-        oy = np.asarray(overlay[1], float)
-        points = " ".join(f"{_fmt(frame.px(a))},{_fmt(frame.py(b))}"
-                          for a, b in zip(ox, oy))
-        parts.append(f'<polyline points="{points}" fill="none" stroke="#d62728" '
-                     'stroke-width="1.5"/>')
+        parts.append(_polyline(frame, np.asarray(overlay[0], float),
+                               np.asarray(overlay[1], float), "#d62728"))
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

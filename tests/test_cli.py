@@ -332,6 +332,21 @@ def test_formats_and_svg_decide_every_file_a_run_writes(tmp_path, case):
             expected = {"summary.json"}.union(
                 *(files.get(kind, set()) for kind in formats + ["svg"] * svg))
             assert {p.name for p in out.iterdir()} == expected, (formats, svg)
+            assert read_summary(out)["files"] == sorted(expected - {"summary.json"})
+
+
+def test_summary_names_only_the_files_of_its_own_run(tmp_path):
+    # A second run into the same out_dir leaves the first run's CSV behind;
+    # the second summary tells the two apart.
+    out = tmp_path / "run"
+    path = write_config(tmp_path, {"scenario": "evolve", "out_dir": str(out),
+                                   "evolve": {"dt": 0.01, "t_end": 0.1}})
+    assert main(["evolve", "--config", str(path)]) == 0
+    assert read_summary(out)["files"] == ["trajectory.csv", "trajectory.json"]
+    assert main(["evolve", "--config", str(path), "--format", "json"]) == 0
+    assert {p.name for p in out.iterdir()} == {"summary.json", "trajectory.csv",
+                                               "trajectory.json"}
+    assert read_summary(out)["files"] == ["trajectory.json"]
 
 
 def test_a_failed_run_writes_only_its_summary(tmp_path):
@@ -345,6 +360,7 @@ def test_a_failed_run_writes_only_its_summary(tmp_path):
     assert main(["ensemble", "--config", str(path)]) == 1
     assert [p.name for p in out.iterdir()] == ["summary.json"]
     assert "TimeOutOfRange" in read_summary(out)["error"]
+    assert read_summary(out)["files"] == []
 
 
 def test_an_out_dir_that_cannot_be_made_is_an_error_on_stderr(tmp_path, capsys):
@@ -369,6 +385,7 @@ def test_invalid_nested_config_still_writes_summary(tmp_path):
     summary = read_summary(out)
     assert summary["status"] == "config-error"
     assert "hydrogen" in summary["error"]
+    assert summary["files"] == []
 
 
 # Each case is {scenario: bad setting}; the setting overrides a valid block.

@@ -163,22 +163,62 @@ def test_write_csv_equals_a_row_at_a_time_csv_writer(tmp_path_factory, table):
 _floats32 = st.floats(width=32) | st.sampled_from([np.nan, -np.inf, -0.0, 2.0 ** -149])
 
 
+_ARRAY_KINDS = {**_KINDS, "float32": (np.float32, _floats32),
+                "complex64": (np.complex64, st.builds(complex, _floats32, _floats32))}
+# keys with quotes, backslashes, control characters, non-ASCII and a lone surrogate
+_keys = st.text(max_size=4) | st.sampled_from(['"', "\\", "\n", "\x00\t", "é", "\u2028",
+                                                "\ud800"])
+
+
+def _nested(array):
+    """Nested lists of ``array``, one element at a time, with [re, im] pairs for complex."""
+    return [_nested(row) for row in array] if array.ndim else _python(array[()])
+
+
+@st.composite
+def _arrays(draw):
+    """(array of 0-3 axes, each of length 0-3, of one of _ARRAY_KINDS; its nested lists)."""
+    dtype, items = _ARRAY_KINDS[draw(st.sampled_from(sorted(_ARRAY_KINDS)))]
+    shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+    size = int(np.prod(shape))
+    array = np.array(draw(st.lists(items, min_size=size, max_size=size)), dtype).reshape(shape)
+    return array, _nested(array)
+
+
+@st.composite
+def _wrapped(draw):
+    """(an array inside 1-3 levels of lists and dicts; the same with its nested lists)."""
+    value, expected = draw(_arrays())
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            key = draw(_keys)
+            value, expected = {key: value}, {key: expected}
+        else:
+            value, expected = [value], [expected]
+    return value, expected
+
+
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(_columns(), st.integers(0, 4), st.integers(1, 3), st.builds(complex, _floats, _floats),
-       st.builds(complex, _floats32, _floats32), st.data())
+       st.builds(complex, _floats32, _floats32), st.dictionaries(_keys, _arrays(), max_size=4),
+       st.lists(_wrapped(), max_size=3), st.data())
 def test_write_json_equals_json_dumps_of_hand_built_pairs(tmp_path_factory, table, n, d, z,
-                                                          z32, data):
+                                                          z32, arrays, wrapped, data):
     columns, _ = table
     block = np.array(data.draw(st.lists(st.lists(_KINDS["complex"][1], min_size=d, max_size=d),
                                         min_size=n, max_size=n)), complex).reshape(n, d)
     payload = {"columns": columns, "block": block, "z": z, "z64": np.complex64(z32),
-               "f": np.float64(z.real), "nested": [{"z": z}, (np.int64(n), np.bool_(d > 1))]}
+               "f": np.float64(z.real), "nested": [{"z": z}, (np.int64(n), np.bool_(d > 1))],
+               "arrays": {key: array for key, (array, _) in arrays.items()},
+               "wrapped": {str(i): value for i, (value, _) in enumerate(wrapped)}}
     expected = {
         "columns": {name: [_python(v) for v in column] for name, column in columns.items()},
         "block": [[_python(v) for v in row] for row in block],
         "z": [z.real, z.imag],
         "z64": [z32.real, z32.imag],
         "f": z.real, "nested": [{"z": [z.real, z.imag]}, [n, d > 1]],
+        "arrays": {key: lists for key, (_, lists) in arrays.items()},
+        "wrapped": {str(i): lists for i, (_, lists) in enumerate(wrapped)},
     }
     text = json.dumps(expected, indent=2, sort_keys=True) + "\n"
     path = reports.write_json(tmp_path_factory.mktemp("json") / "t.json", payload)
@@ -225,6 +265,39 @@ def test_histogram_plot_with_overlay(tmp_path):
     text = path.read_text()
     assert text.count("<rect") >= 10
     assert "<polyline" in text
+
+
+def _per_point_polyline(frame, xs, ys, color):
+    """The polyline formatted one point at a time through the frame's scalar mapping."""
+    points = " ".join(f"{svgplot._fmt(frame.px(a))},{svgplot._fmt(frame.py(b))}"
+                      for a, b in zip(xs, ys))
+    return f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+
+
+_rng = np.random.default_rng(11)
+_x = np.sort(_rng.uniform(-3.0, 7.0, 500))
+_noise, _scatter = _rng.standard_normal(500), _rng.uniform(0.5, 2.0, 500)
+_counts = _rng.integers(0, 90, 40)
+_mids = np.linspace(-2.9, 6.9, 40)
+PLOTS = {
+    "linear": lambda path: svgplot.line_plot(path, _x, [np.sin(3 * _x) * 1e3, _noise - 5],
+                                             labels=["a", "b"]),
+    "constant": lambda path: svgplot.line_plot(path, _x, [np.full(500, 2.5)]),
+    "log": lambda path: svgplot.line_plot(path, _x, [np.exp(-_x) * _scatter,
+                                                     np.where(_x > 0, _x, -1.0)], log_y=True),
+    "log-constant": lambda path: svgplot.line_plot(path, _x, [np.full(500, 1e-18)], log_y=True),
+    "histogram": lambda path: svgplot.histogram_plot(
+        path, np.linspace(-3.0, 7.0, 41), _counts,
+        overlay=(_mids, 100 * np.exp(-0.1 * _mids ** 2))),
+}
+
+
+@pytest.mark.parametrize("plot", PLOTS)
+def test_polylines_equal_a_point_at_a_time_formatter(tmp_path, monkeypatch, plot):
+    written = PLOTS[plot](tmp_path / "a.svg").read_bytes()
+    assert b"<polyline" in written
+    monkeypatch.setattr(svgplot, "_polyline", _per_point_polyline)
+    assert written == PLOTS[plot](tmp_path / "b.svg").read_bytes()
 
 
 def test_empty_series_is_rejected(tmp_path):
