@@ -164,8 +164,8 @@ _TABLES = {
     }),
     "ensemble": _block({
         **_PHYSICS, "count": (_integer(), 1000), "region": (_pair, _REQUIRED),
-        "distribution": (_block({"kind": (_string, "uniform"), "mean": (_number, 0.0),
-                                 "sigma": (_number, 1.0)}), {}),
+        "distribution": (_kinds({"uniform": {}, "gaussian": {"mean": (_number, 0.0),
+                                                             "sigma": (_number, 1.0)}}), {}),
         "seed": (_integer(), 0), "t_end": (_number, 5.0), **_STEPPING,
         "dump_trajectories": (_boolean, False), "bins": (_integer(1), 40),
         "histogram_times": (_list(_number, 0, math.inf, "a list of numbers"),
@@ -552,12 +552,6 @@ def _execute(cfg: RunConfig) -> tuple[int, dict]:
         details["status"] = "invariant-failed"
     details["files"] = written
     return code, details
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute a resolved config and write summary.json; exit code 1 if it cannot be written."""
-    code, details = _execute(cfg)
-    return code if _write_summary(cfg.scenario, cfg, cfg.out_dir, details) else _EXIT_CONFIG
 
 
 def main(argv=None) -> int:

@@ -50,10 +50,8 @@ _PCG64_MULT_HALVES = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645
 # cost is ~1% of the work, small enough that the temporaries stay near a
 # megabyte (deriving 100k members at once added ~6 MB of peak RSS).
 _STATE_BATCH = 4096
-# Truncated-normal rounds (``_truncated_normals``): a member's words per
-# round double up to _MAX_BUDGET, so one that keeps missing reaches the
-# _MAX_MISSES cut in ~14 rounds; a round reads at most _ROUND_WORDS words,
-# so its temporaries stay near a megabyte.
+# Truncated-normal rounds (``_truncated_normals``) read at most
+# _ROUND_WORDS words, so their temporaries stay near a megabyte.
 _MAX_BUDGET = 1 << 13
 _ROUND_WORDS = 4 * _STATE_BATCH
 _MAX_MISSES = 10_000
@@ -252,11 +250,15 @@ def _truncated_normals(rng, states, mean, sigma, lo, hi, axis) -> np.ndarray:
     """One ``normal(mean, sigma)`` draw inside [lo, hi] per PCG64 stream of
     ``states`` (uint64 halves), whose states are advanced past it in place.
 
-    Streams draw in rounds of at most ``_ROUND_WORDS`` words.  A stream
-    reads its own budget of words per round, which doubles each round up
-    to ``_MAX_BUDGET``, so a stream that keeps missing needs ~log2 as many
-    rounds as words.  Streams that wait go last, so the first ones reach
-    the ``_MAX_MISSES`` cut soon when the interval has no mass.
+    Each round reads ``width`` words from each of the first streams still
+    drawing, as many streams as fit in ``_ROUND_WORDS`` words, where
+    ``width`` is the first stream's budget.  A stream stops at its first
+    slow or accepted word.  At an accepted word it is done; a slow one is
+    handed to numpy from the state before it, and if numpy's draw misses,
+    the stream reads on next round.  A stream that finds neither gets a
+    budget of twice the width, up to ``_MAX_BUDGET``.  Unfinished streams
+    stay first, so they reach the ``_MAX_MISSES`` cut soon when the
+    interval has no mass.
     """
     st_hi, st_lo, inc_hi, inc_lo = states
     out = np.empty(st_hi.size)
@@ -264,62 +266,44 @@ def _truncated_normals(rng, states, mean, sigma, lo, hi, axis) -> np.ndarray:
     budget = np.ones(st_hi.size, dtype=np.int64)
     misses = np.zeros(st_hi.size, dtype=np.int64)
     while live.size:
-        ends = np.cumsum(budget[live])
-        take, rest = np.split(live, [max(1, np.searchsorted(ends, _ROUND_WORDS, "right"))])
-        # flat word w of the round is step steps[w] of stream owner[w]
-        words_per = budget[take]
-        ends = ends[:take.size]
-        starts = ends - words_per
-        owner = np.repeat(take, words_per)
-        steps = np.arange(1, ends[-1] + 1) - np.repeat(starts, words_per)
-        s_hi, s_lo, words = _pcg64_jump(st_hi[owner], st_lo[owner], inc_hi[owner],
-                                        inc_lo[owner], steps)
+        width = budget[live[0]]
+        take, rest = np.split(live, [_ROUND_WORDS // width])
+        s_hi, s_lo, words = _pcg64_jump(st_hi[take, None], st_lo[take, None], inc_hi[take, None],
+                                        inc_lo[take, None], np.arange(1, width + 1))
         idx = (words & np.uint64(0xFF)).astype(np.intp)
         rabs = (words >> np.uint64(9)) & np.uint64((1 << 52) - 1)
         x = rabs.astype(float) * _ZIGGURAT_WI[idx]
         np.negative(x, out=x, where=(words & np.uint64(0x100)).astype(bool))
         value = mean + sigma * x
         fast = rabs < _ZIGGURAT_KI[idx]
-        # an event is a word that accepts or is slow; a sentinel ends the list
-        events = np.append(np.flatnonzero(~fast | ((lo <= value) & (value <= hi))), ends[-1])
-        done = np.zeros(take.size, dtype=bool)
-        cur, rows = starts.copy(), np.arange(take.size)
-        while rows.size:
-            # each row reads on from cur to its next event, or to its end
-            e = np.minimum(events[np.searchsorted(events, cur[rows])], ends[rows])
-            ids = take[rows]
-            misses[ids] += e - cur[rows]
-            read = e > cur[rows]
-            st_hi[ids[read]], st_lo[ids[read]] = s_hi[e[read] - 1], s_lo[e[read] - 1]
-            hit = e < ends[rows]
-            accept = hit.copy()
-            accept[hit] = fast[e[hit]]
-            out[ids[accept]] = value[e[accept]]
-            st_hi[ids[accept]], st_lo[ids[accept]] = s_hi[e[accept]], s_lo[e[accept]]
-            done[rows[accept]] = True
-            resume = []
-            for r, w in zip(rows[hit & ~accept].tolist(), e[hit & ~accept].tolist()):
-                i = take[r]
-                draw, state = _slow_normal(rng, (int(st_hi[i]) << 64) | int(st_lo[i]),
-                                           (int(inc_hi[i]) << 64) | int(inc_lo[i]))
-                st_hi[i], st_lo[i] = np.uint64(state >> 64), np.uint64(state & _MASK64)
-                draw = mean + sigma * draw
-                if lo <= draw <= hi:
-                    out[i], done[r] = draw, True
-                    continue
+        event = ~fast | ((lo <= value) & (value <= hi))
+        rows = np.arange(take.size)
+        first = event.argmax(axis=1)
+        found = event[rows, first]
+        done = found & fast[rows, first]
+        out[take[done]] = value[rows[done], first[done]]
+        # each stream missed the words before its event, and moves past the
+        # accepted word, to just before a slow one, or past all it read
+        stop = np.where(found, first, width)
+        misses[take] += stop
+        moved = stop + done > 0
+        last = (stop + done - 1)[moved]
+        st_hi[take[moved]], st_lo[take[moved]] = s_hi[rows[moved], last], s_lo[rows[moved], last]
+        for r in np.flatnonzero(found & ~done).tolist():
+            i = take[r]
+            draw, state = _slow_normal(rng, (int(st_hi[i]) << 64) | int(st_lo[i]),
+                                       (int(inc_hi[i]) << 64) | int(inc_lo[i]))
+            st_hi[i], st_lo[i] = np.uint64(state >> 64), np.uint64(state & _MASK64)
+            draw = mean + sigma * draw
+            if lo <= draw <= hi:
+                out[i], done[r] = draw, True
+            else:
                 misses[i] += 1
-                # read on after the words numpy took, if this round made them
-                seg = slice(w + 1, ends[r])
-                after = np.flatnonzero((s_hi[seg] == st_hi[i]) & (s_lo[seg] == st_lo[i]))
-                if after.size:
-                    cur[r] = w + 2 + after[0]
-                    resume.append(r)
-            if misses[ids].max() >= _MAX_MISSES:
-                raise EmptyRegion(
-                    f"gaussian rejection sampling failed on axis {axis}: the interval "
-                    f"({lo}, {hi}) carries almost no probability mass")
-            rows = np.array(resume, dtype=np.intp)
-        budget[take] = np.minimum(2 * words_per, _MAX_BUDGET)
+        if misses[take].max() >= _MAX_MISSES:
+            raise EmptyRegion(
+                f"gaussian rejection sampling failed on axis {axis}: the interval "
+                f"({lo}, {hi}) carries almost no probability mass")
+        budget[take[~found]] = min(2 * width, _MAX_BUDGET)
         live = np.concatenate([take[~done], rest])
     return out
 

@@ -86,48 +86,33 @@ def _as_points(r, dimension):
     return arr.reshape(-1, dimension), restore
 
 
-def _richardson_first(fn, pts, axis, scale=_FIRST_STEP):
-    """d(fn)/dx_axis by central differences with one Richardson level.
+def _richardson(fn, pts, axis, order):
+    """d(fn)/dx_axis (``order`` 1) or d2(fn)/dx_axis^2 (``order`` 2) by first
+    or second central differences with one Richardson level.
 
     ``fn`` may return (n,) scalars or (n, d) vectors.
     """
-    h = scale * (1.0 + np.linalg.norm(pts, axis=1).real)
+    h = (_FIRST_STEP if order == 1 else _SECOND_STEP) * (1.0 + np.linalg.norm(pts, axis=1).real)
     shift = np.zeros_like(pts)
+    f0 = np.asarray(fn(pts)) if order == 2 else None
 
     def central(step):
         shift[:, axis] = step
         hi = np.asarray(fn(pts + shift))
         lo = np.asarray(fn(pts - shift))
-        denom = 2.0 * step
-        if hi.ndim == 2:
-            denom = denom[:, None]
-        return (hi - lo) / denom
+        if order == 1:
+            diff, denom = hi - lo, 2.0 * step
+        else:
+            diff, denom = hi - 2.0 * f0 + lo, step * step
+        return diff / (denom[:, None] if hi.ndim == 2 else denom)
 
     return (4.0 * central(h / 2.0) - central(h)) / 3.0
 
 
 def _richardson_gradient(fn, pts):
-    """``_richardson_first`` along every axis, stacked on a new last axis, as complex."""
-    return np.stack([_richardson_first(fn, pts, j) for j in range(pts.shape[1])],
+    """``_richardson`` of order 1 along every axis, stacked on a new last axis, as complex."""
+    return np.stack([_richardson(fn, pts, j, 1) for j in range(pts.shape[1])],
                     axis=-1).astype(complex, copy=False)
-
-
-def _richardson_second(fn, pts, axis, scale=_SECOND_STEP):
-    """d2(fn)/dx_axis^2 by second central differences, one Richardson level."""
-    h = scale * (1.0 + np.linalg.norm(pts, axis=1).real)
-    shift = np.zeros_like(pts)
-    f0 = np.asarray(fn(pts))
-
-    def second(step):
-        shift[:, axis] = step
-        hi = np.asarray(fn(pts + shift))
-        lo = np.asarray(fn(pts - shift))
-        denom = step * step
-        if hi.ndim == 2:
-            denom = denom[:, None]
-        return (hi - 2.0 * f0 + lo) / denom
-
-    return (4.0 * second(h / 2.0) - second(h)) / 3.0
 
 
 class MomentumField:
@@ -222,7 +207,7 @@ class MomentumField:
             return np.asarray(self._laplacian_fn(pts), dtype=complex)
         out = np.zeros(pts.shape, dtype=complex)
         for j in range(pts.shape[1]):
-            out += _richardson_second(self._value_fn, pts, j)
+            out += _richardson(self._value_fn, pts, j, 2)
         return out
 
     # -- public API ----------------------------------------------------------

@@ -469,7 +469,7 @@ def test_resolution_fills_defaults_in_json_native_form():
     assert p["region"] == [1.0, 2.0] and p["t_end"] == 2.0
     assert p["field"] == {"kind": "qho", "level": 1}
     assert p["potential"] == {"kind": "harmonic"}
-    assert p["distribution"] == {"kind": "uniform", "mean": 0.0, "sigma": 1.0}
+    assert p["distribution"] == {"kind": "uniform"}
     assert p["histogram_times"] == [2.0]
     assert "born_reference" not in p
     rotation = config_from_dict({"scenario": "twobody", "twobody": {"kind": "rotation"}})
@@ -481,6 +481,25 @@ def test_resolution_fills_defaults_in_json_native_form():
     by_pair = config_from_dict({"scenario": "evolve", "evolve": {"t_end": 1.0, "x0": [2, 0]}})
     assert by_number.params["x0"] == [2.0, 0.0]
     assert by_number == by_pair and by_number.config_hash == by_pair.config_hash
+
+
+def test_distribution_block_is_resolved_by_its_kind(tmp_path):
+    # Only a gaussian takes mean and sigma, and they default to N(0, 1).
+    gaussian = config_from_dict({"scenario": "ensemble", "ensemble": {
+        "region": [0.8, 1.2], "distribution": {"kind": "gaussian"}}})
+    assert gaussian.params["distribution"] == {"kind": "gaussian", "mean": 0.0, "sigma": 1.0}
+    with pytest.raises(ConfigError, match=r"^ensemble\.distribution\.mean: unknown key"):
+        config_from_dict({"scenario": "ensemble", "ensemble": {
+            "region": [0.8, 1.2], "distribution": {"kind": "uniform", "mean": 3, "sigma": 5}}})
+    # A misspelt kind fails resolution, before the run starts.
+    out = tmp_path / "run"
+    path = write_config(tmp_path, {"scenario": "ensemble", "out_dir": str(out), "ensemble": {
+        **VALID_BLOCKS["ensemble"], "distribution": {"kind": "gausian"}}})
+    assert main(["ensemble", "--config", str(path)]) == 1
+    summary = read_summary(out)
+    assert summary["error"].startswith("ensemble.distribution.kind: expected one of uniform, "
+                                       "gaussian")
+    assert summary["resolved_config"] is None
 
 
 def test_summary_carries_the_resolved_config_its_hash_covers(tmp_path):

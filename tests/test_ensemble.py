@@ -113,6 +113,9 @@ BOX_3D = ((0.8, 1.2), (-2.0, 3.0), (5.0, 9.0))
     # wide enough to accept tail draws, axis 1 rejects some of them.
     (2 * _STATE_BATCH + 5, ((-8.0, 8.0), (-1.0, 2.5)), gaussian_distribution(0.0, 1.0), 21,
      2**63),
+    # Accepts ~0.13% of draws, so thousands of slow words go to numpy and
+    # most of numpy's draws miss: each such stream reads on next round.
+    (300, (3.0, 4.0), gaussian_distribution(0.0, 1.0), 31, 5),
 ])
 def test_sampling_equals_per_member_generators(count, region, distribution, seed, first_stream,
                                                monkeypatch):
@@ -137,15 +140,17 @@ def test_sampling_equals_per_member_generators(count, region, distribution, seed
         assert any(abs(z) < r for z in handed)
 
 
-@pytest.mark.parametrize("region, sigma", [
+@pytest.mark.parametrize("count, region, sigma", [
     # the CLI's EmptyRegion case, sampled directly
-    ((5.0, 6.0), 0.3),
+    (10, (5.0, 6.0), 0.3),
     # little mass: member 0 would first land inside on its 34 726th draw
-    ((3.9, 4.5), 1.0),
+    (10, (3.9, 4.5), 1.0),
+    # more members than one batch of states
+    (_STATE_BATCH + 1, (5.0, 6.0), 0.3),
 ])
-def test_region_without_gaussian_mass_is_a_bounded_error(region, sigma):
-    # Each member misses 10 000 times at most, in a few rounds of words.
-    spec = make_spec(count=10, region=region, seed=3,
+def test_region_without_gaussian_mass_is_a_bounded_error(count, region, sigma):
+    # Each member misses 10 000 times at most before the error is raised.
+    spec = make_spec(count=count, region=region, seed=3,
                      distribution=gaussian_distribution(0.0, sigma))
     start = time.perf_counter()
     with pytest.raises(EmptyRegion):
