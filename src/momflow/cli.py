@@ -19,7 +19,9 @@ written under ``files``; a failed run writes only ``summary.json``, with
 is in error and names no string ``out_dir`` (nor --out), ends without
 one, as does an ``out_dir`` that cannot be written (an error on stderr).
 Exit codes: 0 success, 1 usage/config error, 2 a physics invariant check
-failed.
+failed.  A ``momflow`` process (``run``) ends by ``os._exit`` once
+``main`` has returned and stdout and stderr are flushed, skipping the
+interpreter's finalization: every file a run writes is closed by then.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field as dataclass_field, replace
 from functools import partial
@@ -97,6 +100,8 @@ def _is_number(value):
 
 _number = _check(lambda v: _is_number(v) and abs(v) <= sys.float_info.max,
                  "a finite number", float)
+_positive = _check(lambda v: _is_number(v) and 0 < v <= sys.float_info.max,
+                   "a positive finite number", float)
 _string = _check(lambda v: isinstance(v, str), "a string")
 _boolean = _check(lambda v: isinstance(v, bool), "true or false")
 
@@ -151,7 +156,7 @@ _POTENTIAL = _kinds({
     "constant": {"value": (_number, _REQUIRED)},
 })
 _PHYSICS = {"field": (_FIELD, {}), "potential": (_POTENTIAL, {})}
-_STEPPING = {"scheme": (_string, "rk4"), "dt": (_number, 1e-3)}
+_STEPPING = {"scheme": (_choice("rk4", "rkf45"), "rk4"), "dt": (_number, 1e-3)}
 
 _TABLES = {
     "field-scan": _block({
@@ -165,7 +170,7 @@ _TABLES = {
     "ensemble": _block({
         **_PHYSICS, "count": (_integer(), 1000), "region": (_pair, _REQUIRED),
         "distribution": (_kinds({"uniform": {}, "gaussian": {"mean": (_number, 0.0),
-                                                             "sigma": (_number, 1.0)}}), {}),
+                                                             "sigma": (_positive, 1.0)}}), {}),
         "seed": (_integer(), 0), "t_end": (_number, 5.0), **_STEPPING,
         "dump_trajectories": (_boolean, False), "bins": (_integer(1), 40),
         "histogram_times": (_list(_number, 0, math.inf, "a list of numbers"),
@@ -625,5 +630,24 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> None:
+    """The ``momflow`` command: ``main``, then the process ends without finalization.
+
+    Finalizing the interpreter costs tens of milliseconds and writes
+    nothing a run needs, so once ``main`` returns and stdout and stderr
+    are flushed the process ends by ``os._exit``; ``atexit`` handlers do
+    not run.  A flush that fails is reported by ``sys.exit`` as before,
+    and an exception or ``SystemExit`` from ``main`` leaves as it would.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:   # None when the descriptor was closed at start
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -502,6 +502,34 @@ def test_distribution_block_is_resolved_by_its_kind(tmp_path):
     assert summary["resolved_config"] is None
 
 
+@pytest.mark.parametrize("scenario, setting", [
+    ("ensemble", {"distribution": {"kind": "gaussian", "sigma": -1}}),
+    ("ensemble", {"distribution": {"kind": "gaussian", "sigma": 0}}),
+    ("ensemble", {"scheme": "rk5"}),
+    ("evolve", {"scheme": "rk5"}),
+])
+def test_settings_the_library_refuses_fail_resolution(tmp_path, scenario, setting):
+    # Refused before the run: no resolved config and no file but the summary.
+    out = tmp_path / "run"
+    path = write_config(tmp_path, {"scenario": scenario, "out_dir": str(out),
+                                   scenario: {**VALID_BLOCKS[scenario], **setting}})
+    assert main([scenario, "--config", str(path)]) == 1
+    summary = read_summary(out)
+    assert summary["status"] == "config-error"
+    assert summary["resolved_config"] is None and summary["config_hash"] is None
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
+
+
+def test_valid_stepping_and_distribution_keep_their_hash():
+    # The hash of a valid config is part of every output's metadata.
+    cfg = config_from_dict({"scenario": "ensemble", "ensemble": {
+        "region": [0.8, 1.2], "scheme": "rkf45",
+        "distribution": {"kind": "gaussian", "mean": 1, "sigma": 2}}})
+    assert cfg.params["distribution"] == {"kind": "gaussian", "mean": 1.0, "sigma": 2.0}
+    assert cfg.params["scheme"] == "rkf45"
+    assert cfg.config_hash == "65b4a2af87f509f5"
+
+
 def test_summary_carries_the_resolved_config_its_hash_covers(tmp_path):
     out = tmp_path / "run"
     path = write_config(tmp_path, {"scenario": "reconstruct", "out_dir": str(out),
@@ -570,3 +598,34 @@ def test_cli_import_leaves_scipy_solvers_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# -- the process -------------------------------------------------------------------
+# ``python -m momflow.cli`` ends by os._exit once main returns.  Its stdout
+# is a pipe here, which Python buffers by blocks (PYTHONUNBUFFERED is
+# dropped), so the scenario line arrives only if the entry flushes it.
+
+
+@pytest.mark.parametrize("block, code, status", [
+    # halts at step 0: x0 is inside the guard of the node at 0
+    ({"x0": 0.02, "dt": 1e-3, "t_end": 0.1}, 0, "ok"),
+    ({"x0": 1.5, "dt": 1e-2, "t_end": 0.1, "max_displacement_tol": 1e-6}, 2,
+     "invariant-failed"),
+    ({"scheme": "rk5", "t_end": 0.1}, 1, "config-error"),
+])
+def test_a_cli_process_exits_with_its_code_after_flushing_stdout(tmp_path, block, code, status):
+    out = tmp_path / "run"
+    path = write_config(tmp_path, {"scenario": "evolve", "out_dir": str(out), "evolve": block})
+    src = str(Path(momflow.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "momflow.cli", "evolve", "--config", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == (f"scenario evolve: {'ok' if code == 0 else 'failed'} "
+                           f"(summary: {out / 'summary.json'})\n")
+    assert proc.stderr == ""
+    summary = read_summary(out)
+    assert summary["status"] == status
+    if code == 0:
+        assert summary["steps"] == 0 and "approached field singularity" in summary["halt"]

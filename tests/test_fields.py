@@ -138,6 +138,27 @@ def test_qho_field_matches_sympy_oracle(level):
             assert err.max() <= ORACLE_REL_TOL, (units, k, err.max())
 
 
+@pytest.mark.parametrize("level", range(11))
+def test_pole_list_is_antisymmetric_and_matches_sympy_roots(level):
+    # The poles of level n are the zeros of H_n(sqrt(a) x).  Negating the
+    # list must give it back bit for bit, with an exact 0.0 for odd n, or
+    # a start at -x0 would not give the negated trajectory.  Against
+    # sympy's roots at 30 digits the largest error seen is 6.9 ulp of
+    # max(|root|, 1) (level 9), so 16 ulp leaves a margin of 2.
+    sp = pytest.importorskip("sympy")
+    units = UnitSystem(hbar=0.7, mass=1.3, omega=0.4)
+    poles = np.array([loc for _axis, loc in qho_field(level, units).poles])
+    assert np.array_equal(poles, -poles[::-1]) and np.all(np.diff(poles) > 0)
+    if level % 2:
+        middle = poles[level // 2]
+        assert middle == 0.0 and not np.signbit(middle)
+    x = sp.Symbol("x")
+    roots = sorted(float(sp.re(r)) for r in sp.Poly(sp.hermite(level, x), x).nroots(n=30))
+    exact = np.array(roots) * units.characteristic_length
+    scale = np.maximum(np.abs(exact), units.characteristic_length)
+    assert np.all(np.abs(poles - exact) <= 16 * np.finfo(float).eps * scale)
+
+
 def test_qho_field_is_finite_far_from_the_origin():
     # Hermite values overflow at |x| = 1e40 (H_10 ~ (2x)**10); the ratio
     # recurrence never forms them.  There p ~ i*hbar*a*x.
@@ -176,6 +197,11 @@ def test_closed_form_derivatives_match_numeric_twin():
         assert np.all(np.abs(a - b) <= 1e-6 * np.maximum(np.abs(a), 1.0))
 
 
+# Real points on both sides of the level-1 node, where both constructions
+# are defined; p crosses zero at x = +-1.
+WAVEFUNCTION_POINTS = np.array([0.3, 0.7, 1.0, 1.5, 2.2, 3.1, 4.0, -0.5, -1.9, -3.6])
+
+
 def test_wavefunction_field_reports_numeric_derivatives():
     # psi' and psi'' give p and its Jacobian in closed form, but the vector
     # Laplacian is still Richardson differences of p
@@ -185,6 +211,27 @@ def test_wavefunction_field_reports_numeric_derivatives():
         psi_second=lambda x: (x ** 3 - 3.0 * x) * np.exp(-x * x / 2.0))
     assert field.derivative_kind == "numeric-central-difference"
     assert field.jacobian(1.5) == pytest.approx(qho_field(1).jacobian(1.5), rel=1e-12)
+    # p = -i hbar psi'/psi with no differencing: the largest error seen is
+    # 1.6e-16 relative to max(|p|, 1), so 1e-15 leaves a margin of 6
+    expected = qho_field(1).value(WAVEFUNCTION_POINTS.astype(complex))
+    err = np.abs(field.value(WAVEFUNCTION_POINTS) - expected) / np.maximum(np.abs(expected), 1.0)
+    assert err.max() <= 1e-15, err.max()
+
+
+def test_two_dimensional_wavefunction_field_matches_the_product_field():
+    # psi = x exp(-(x**2 + y**2)/2) is the level (1, 0) product state; its
+    # gradient comes from Richardson differences along each axis.  The
+    # largest error seen is 1.6e-11 relative to max(|p|, 1), so 1e-10
+    # leaves a margin of 6.
+    field = field_from_wavefunction(
+        lambda pts: pts[:, 0] * np.exp(-0.5 * (pts[:, 0] ** 2 + pts[:, 1] ** 2)),
+        nodes=[(0, 0.0)], dimension=2)
+    pts = np.stack([WAVEFUNCTION_POINTS, np.linspace(-3.0, 2.0, WAVEFUNCTION_POINTS.size)], axis=1)
+    expected = product_field([qho_field(1), qho_field(0)]).value(pts.astype(complex))
+    got = field.value(pts)
+    assert got.shape == expected.shape == pts.shape
+    err = np.abs(got - expected) / np.maximum(np.abs(expected), 1.0)
+    assert err.max() <= 1e-10, err.max()
 
 
 # -- evaluator shapes -------------------------------------------------------------

@@ -79,10 +79,16 @@ def test_a_scenario_loads_only_its_own_modules(tmp_path, scenario):
     block, modules = SCENARIO_MODULES[scenario]
     (tmp_path / "run.json").write_text(json.dumps({"scenario": scenario, "out_dir": "out",
                                                    "svg": True, **block}))
-    code = ("import runpy\n"
+    # The CLI ends its process by os._exit, before sys.modules could be
+    # printed; the stub records the code and leaves by SystemExit instead.
+    code = ("import os, runpy\n"
+            "exits = []\n"
+            "def _exit(code):\n    exits.append(code)\n    raise SystemExit(code)\n"
+            "os._exit = _exit\n"
             f"sys.argv = ['momflow', {scenario!r}, '--config', 'run.json']\n"
             "try:\n    runpy.run_module('momflow.cli', run_name='__main__')\n"
-            "except SystemExit as exc:\n    assert exc.code == 0, exc.code")
+            "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
+            "assert exits == [0], exits")
     assert loaded_after(code, cwd=tmp_path) == CLI_BASE | {f"momflow.{m}" for m in modules}
     assert json.loads((tmp_path / "out" / "summary.json").read_text())["status"] == "ok"
 
