@@ -609,11 +609,11 @@ def main(argv=None) -> int:
                   svg=args.svg or cfg.svg)
     flags = {key: getattr(args, key) for key in ("seed", "dt", "t_end")
              if getattr(args, key) is not None}
-    resolved = None
+    resolved = None  # stays None unless the config with its flags resolves
     try:
-        resolved = _resolve_block(cfg, cfg.params)
+        base = _resolve_block(cfg, cfg.params)
         for key in flags:
-            if key not in resolved.params:
+            if key not in base.params:
                 raise ConfigError(f"--{key.replace('_', '-')}: the {cfg.scenario} config "
                                   f"has no {key!r} setting to override")
         cfg = _resolve_block(cfg, {**cfg.params, **flags})

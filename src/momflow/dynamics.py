@@ -152,8 +152,7 @@ def stationarity_residual(field: MomentumField, potential: PotentialField, r,
     """
     pts, restore = _as_points(r, field.dimension)
     force = force_at(field, potential, pts, units)
-    p = field._value_at(pts, check=False)
-    jac = field._jacobian_at(pts, check=False)
+    p, jac = field._jacobian_at(pts, check=False)
     convective = np.einsum("nij,nj->ni", jac, p) / units.mass
     return restore(convective - force)
 

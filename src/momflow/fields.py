@@ -125,10 +125,13 @@ class MomentumField:
     value_fn:
         Maps an (n, d) complex position array to (n, d) momenta.
     jacobian_fn, laplacian_fn:
-        Optional closed-form evaluators for d p_i / d x_j (shape
-        (n, d, d)) and the componentwise vector Laplacian (shape (n, d)).
-        When omitted, Richardson-extrapolated central differences of
-        ``value_fn`` are used and ``derivative_kind`` reports it.
+        Optional closed-form evaluators.  ``jacobian_fn`` returns the pair
+        (p, J): the momenta (shape (n, d)) and J[:, i, j] = d p_i / d x_j
+        (shape (n, d, d)), from one pass over the points, so the energy
+        needs one call into the field.  ``laplacian_fn`` returns the
+        componentwise vector Laplacian (shape (n, d)).  When omitted,
+        Richardson-extrapolated central differences of ``value_fn`` are
+        used and ``derivative_kind`` reports it.
     poles:
         (axis, location) pairs marking node hyperplanes x_axis == location
         where the field blows up.
@@ -194,11 +197,13 @@ class MomentumField:
         return np.asarray(self._value_fn(pts), dtype=complex)
 
     def _jacobian_at(self, pts, check=True):
+        """(p, J) at (n, d) points: the momenta and J[:, i, j] = d p_i / d x_j."""
         if check:
             self._check(pts)
         if self._jacobian_fn is not None:
-            return np.asarray(self._jacobian_fn(pts), dtype=complex)
-        return _richardson_gradient(self._value_fn, pts)
+            p, jac = self._jacobian_fn(pts)
+            return np.asarray(p, dtype=complex), np.asarray(jac, dtype=complex)
+        return self._value_at(pts, check=False), _richardson_gradient(self._value_fn, pts)
 
     def _laplacian_at(self, pts, check=True):
         if check:
@@ -220,11 +225,11 @@ class MomentumField:
     def jacobian(self, r):
         """Matrix J[i, j] = d p_i / d x_j."""
         pts, restore = _as_points(r, self.dimension)
-        return restore(self._jacobian_at(pts))
+        return restore(self._jacobian_at(pts)[1])
 
     def divergence(self, r):
         pts, restore = _as_points(r, self.dimension)
-        return restore(np.trace(self._jacobian_at(pts), axis1=1, axis2=2))
+        return restore(np.trace(self._jacobian_at(pts)[1], axis1=1, axis2=2))
 
     def vector_laplacian(self, r):
         pts, restore = _as_points(r, self.dimension)
@@ -235,7 +240,7 @@ class MomentumField:
         if self.dimension < 2:
             raise DimensionTooLow("curl needs at least two dimensions")
         pts, restore = _as_points(r, self.dimension)
-        jac = self._jacobian_at(pts)
+        _p, jac = self._jacobian_at(pts)
         if self.dimension == 2:
             return restore(jac[:, 1, 0] - jac[:, 0, 1])
         return restore(np.stack([
@@ -248,18 +253,12 @@ class MomentumField:
 # -- oscillator eigenstate fields ---------------------------------------------
 
 
-def _hermite(n, z):
-    """Physicists' Hermite polynomial H_n via the three-term recurrence."""
-    h_prev = np.ones_like(z)
-    if n == 0:
-        return h_prev
-    h = 2.0 * z
-    for k in range(1, n):
-        h, h_prev = 2.0 * z * h - 2.0 * k * h_prev, h
-    return h
-
-
 def _ratio_recurrence(n, two_z):
+    """H_{n-1}(z)/H_n(z) for n >= 1, given 2z.
+
+    Uses r_1 = 1/(2z), r_{k+1} = 1/(2z - 2k r_k), which never forms H_n
+    and so cannot overflow for large |z|.
+    """
     r = np.reciprocal(two_z)
     for k in range(1, n):
         r *= -2.0 * k
@@ -268,28 +267,27 @@ def _ratio_recurrence(n, two_z):
     return r
 
 
-def _hermite_ratio(n, two_z):
-    """H_{n-1}(z)/H_n(z) for n >= 1, given 2z.
+def _horner(coeffs, u, times=None, out=None):
+    """(coeffs[0] u**d + ... + coeffs[d]) * ``times`` by Horner's rule.
 
-    Uses r_1 = 1/(2z), r_{k+1} = 1/(2z - 2k r_k), which never forms H_n
-    and so cannot overflow for large |z|.
+    A constant (d = 0) is taken only with ``times``, and a leading 1
+    saves a product.  ``out`` may be ``u`` itself when d is 1, since u is
+    then read only once.
     """
-    if n == 1:  # no partial ratios; z = 0 is the field's own pole
-        return np.reciprocal(two_z)
-    try:
-        with np.errstate(divide="raise", invalid="raise"):
-            return _ratio_recurrence(n, two_z)
-    except FloatingPointError:
-        pass
-    # Some partial ratio divided by an exact zero of an H_k with k < n
-    # (z = 0 for even n, or a rounded root), where the Hermite values
-    # themselves are finite; or z is a pole of the field.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = _ratio_recurrence(n, two_z)
-        bad = ~np.isfinite(r)
-        z = 0.5 * two_z[bad]
-        r[bad] = _hermite(n - 1, z) / _hermite(n, z)
-    return r
+    if len(coeffs) == 1:
+        return np.multiply(times, coeffs[0], out=out)
+    lead, first, *rest = coeffs
+    if lead == 1:
+        acc = np.add(u, first, out=out)
+    else:
+        acc = np.multiply(u, lead, out=out)
+        acc += first
+    for c in rest:
+        acc *= u
+        acc += c
+    if times is not None:
+        acc *= times
+    return acc
 
 
 def _hermite_roots(n):
@@ -313,15 +311,23 @@ def qho_field(level: int, units: UnitSystem = NATURAL_UNITS,
               = -i*hbar * (2n sqrt(a) H_{n-1}/H_n - a x)
 
     which for level 1 reduces to p = -i*hbar*(1/x - m*omega*x/hbar).
-    H_{n-1}/H_n comes from a ratio recurrence (``_hermite_ratio``).
+    The ratio is one rational function of u = x**2: H_n(sqrt(a) x) is
+    x**(n % 2) times a polynomial in u, made monic, and 2n sqrt(a) H_{n-1}
+    over the same leading coefficient is n times the monic H_{n-1}.  Both
+    run by Horner's rule and meet in one complex division.  Where H_n
+    overflows (|x| beyond about 1e30 at level 10) the result is not
+    finite, and those entries are recomputed by the ratio recurrence
+    r_1 = 1/(2z), r_{k+1} = 1/(2z - 2k r_k), which never forms H_n.
+
     Derivatives are closed-form: the eigenvalue relation supplies
     psi''/psi = a**2 x**2 - (2n+1) a, so with L = psi'/psi
 
         p'  = -i*hbar * (psi''/psi - L**2)
         p'' = -i*hbar * (2 a**2 x - 2 L (psi''/psi - L**2)).
 
-    The pole list holds the zeros of H_n.  Levels above 10 are not
-    tabulated and raise UnsupportedLevel.
+    The field's ``jacobian_fn`` returns (p, p') from one pass of the
+    kernel.  The pole list holds the zeros of H_n.  Levels above 10 are
+    not tabulated and raise UnsupportedLevel.
     """
     if level < 0 or level != int(level):
         raise ValueError("level must be a non-negative integer")
@@ -333,24 +339,50 @@ def qho_field(level: int, units: UnitSystem = NATURAL_UNITS,
     sqrt_a = np.sqrt(a)
     hbar = units.hbar
     two_sqrt_a = (2.0 * sqrt_a).item()
+    odd = level % 2
 
-    def constants(scale):  # (2n sqrt(a), a, -a), each times scale, as Python numbers
-        return tuple(np.asarray(c).item()
-                     for c in ((2.0 * level * sqrt_a) * scale, a * scale, -a * scale))
+    def monic(k):  # H_k(sqrt(a) x) / ((2 sqrt(a))**k x**(k % 2)), descending in u = x**2
+        coeffs = np.polynomial.hermite.herm2poly(np.eye(k + 1)[k]) / 2.0 ** k
+        coeffs *= sqrt_a ** (np.arange(k + 1) - k)
+        return coeffs[k % 2::2][::-1]
 
-    # the kernel's scalars, worked out once rather than on numpy scalars at every call
+    def constants(scale):  # numerator, monic denominator, 2n sqrt(a), -a; all but den times scale
+        num = level * scale * monic(level - 1) if level else ()
+        return (tuple(np.asarray(c).item() for c in num), tuple(c.item() for c in monic(level)),
+                np.asarray(level * two_sqrt_a * scale).item(), np.asarray(-a * scale).item())
+
+    # worked out once rather than on numpy scalars at every call
     real, momentum = constants(1.0), constants(-1j * hbar)
 
     def log_deriv(x, scaled=real):  # scale * psi'/psi, with ``scaled`` = constants(scale)
-        ratio_scale, a_scale, minus_a_scale = scaled
+        num, den, ratio_scale, minus_a_scale = scaled
         if level == 0:
             return minus_a_scale * x
-        two_z = two_sqrt_a * x
-        r = _hermite_ratio(level, two_z)
-        r *= ratio_scale
-        np.multiply(x, a_scale, out=two_z)
-        r -= two_z
+        if level == 1:  # c/x - a x
+            r = num[0] / x
+            r += minus_a_scale * x
+            return r
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            u = x * x
+            in_place = u if len(den) == 2 else None  # u's last read
+            if odd:
+                r = _horner(num, u)
+                scratch = _horner(den, u, x, out=in_place)
+            else:
+                r = _horner(num, u, x)
+                scratch = _horner(den, u, out=in_place)
+            r /= scratch
+            np.multiply(x, minus_a_scale, out=scratch)
+            r += scratch
+            # a sum is finite only if every entry is, and costs no mask
+            if not np.isfinite(r.sum()):
+                bad = ~np.isfinite(r)
+                z = x[bad]
+                r[bad] = ratio_scale * _ratio_recurrence(level, two_sqrt_a * z) + minus_a_scale * z
         return r
+
+    # p' = -i*hbar (psi''/psi - L**2) = c2 p**2 + c1 x**2 + c0, written in p
+    c2, c1, c0 = -1j / hbar, -1j * hbar * a * a, 1j * hbar * (2 * level + 1) * a
 
     def curvature(x):  # psi''/psi
         return a * a * x * x - (2 * level + 1) * a
@@ -360,8 +392,14 @@ def qho_field(level: int, units: UnitSystem = NATURAL_UNITS,
 
     def jacobian(pts):
         x = pts[:, 0]
-        ld = log_deriv(x)
-        return (-1j * hbar * (curvature(x) - ld * ld)).reshape(-1, 1, 1)
+        p = log_deriv(x, momentum)
+        jac = p * p
+        jac *= c2
+        scratch = x * x
+        scratch *= c1
+        jac += scratch
+        jac += c0
+        return p[:, None], jac.reshape(-1, 1, 1)
 
     def laplacian(pts):
         x = pts[:, 0]
@@ -385,7 +423,8 @@ def field_from_wavefunction(psi, nodes=(), units: UnitSystem = NATURAL_UNITS,
     zeros of psi, either as scalars (1-D) or (axis, location) pairs.
 
     When ``psi_prime`` is supplied the field uses it directly, and with
-    ``psi_second`` as well so does the Jacobian; every other derivative,
+    ``psi_second`` as well so does the Jacobian, which then comes with p
+    from the same psi and psi' values; every other derivative,
     the vector Laplacian always included, comes from Richardson-extrapolated
     central differences, so ``derivative_kind`` is
     "numeric-central-difference".  Derivative callables are honored for
@@ -414,9 +453,11 @@ def field_from_wavefunction(psi, nodes=(), units: UnitSystem = NATURAL_UNITS,
         def jacobian(pts):
             x = pts[:, 0]
             base = np.asarray(psi(x), dtype=complex)
-            ld = np.asarray(psi_prime(x), dtype=complex) / base
+            prime = np.asarray(psi_prime(x), dtype=complex)
+            ld = prime / base
             curv = np.asarray(psi_second(x), dtype=complex) / base
-            return (-1j * hbar * (curv - ld * ld)).reshape(-1, 1, 1)
+            return ((-1j * hbar * prime / base)[:, None],
+                    (-1j * hbar * (curv - ld * ld)).reshape(-1, 1, 1))
 
     pole_list = []
     for node in nodes:
@@ -451,10 +492,12 @@ def product_field(factors, tolerance: TolerancePolicy | None = None) -> Momentum
 
     def jacobian(pts):
         n = pts.shape[0]
+        p = np.empty((n, d), dtype=complex)
         jac = np.zeros((n, d, d), dtype=complex)
         for k, f in enumerate(factors):
-            jac[:, k, k] = f._jacobian_at(pts[:, k].reshape(-1, 1), check=False)[:, 0, 0]
-        return jac
+            col = slice(k, k + 1)
+            p[:, col], jac[:, col, col] = f._jacobian_at(pts[:, col], check=False)
+        return p, jac
 
     def laplacian(pts):
         cols = [f._laplacian_at(pts[:, k].reshape(-1, 1), check=False)[:, 0]
@@ -551,11 +594,17 @@ def _check_potential(field, potential):
 def _energy(field, potential, pts, units, divergence_scale=1.0):
     """``energy_at`` on (n, d) points, without the pole and axis check."""
     _check_potential(field, potential)
-    p = field._value_at(pts, check=False)
-    div = np.trace(field._jacobian_at(pts, check=False), axis1=1, axis2=2)
-    u = potential._value_at(pts)
-    return ((p * p).sum(axis=1) / (2.0 * units.mass) + u
-            - 1j * (divergence_scale * units.hbar / (2.0 * units.mass)) * div)
+    p, jac = field._jacobian_at(pts, check=False)
+    div = np.trace(jac, axis1=1, axis2=2)
+    del jac  # (n, d, d): freed before the potential's temporaries are made
+    div *= -1j * (divergence_scale * units.hbar / (2.0 * units.mass))
+    energy = p[:, 0] * p[:, 0]
+    for k in range(1, field.dimension):
+        energy += p[:, k] * p[:, k]
+    energy /= 2.0 * units.mass
+    energy += potential._value_at(pts)
+    energy += div
+    return energy
 
 
 def energy_at(field: MomentumField, potential: PotentialField, r,

@@ -187,7 +187,8 @@ def field_from_grid(pair: EigenPair, grid: Grid1D, units: UnitSystem = NATURAL_U
         return interp_p(domain(pts))[:, None]
 
     def jacobian(pts):
-        return interp_dp(domain(pts)).reshape(-1, 1, 1)
+        x = domain(pts)
+        return interp_p(x)[:, None], interp_dp(x).reshape(-1, 1, 1)
 
     def laplacian(pts):
         return interp_ddp(domain(pts))[:, None]

@@ -183,12 +183,13 @@ def test_seed_flag_is_refused_where_nothing_is_drawn(tmp_path):
         "evolve": {"x0": [1.0, 0.0], "dt": 0.01, "t_end": 0.1},
     })
     assert main(["evolve", "--config", str(path)]) == 0
-    config_hash = read_summary(out)["config_hash"]
+    assert read_summary(out)["config_hash"] is not None
     assert main(["evolve", "--config", str(path), "--seed", "5"]) == 1
     summary = read_summary(out)
     assert summary["status"] == "config-error"
     assert "--seed" in summary["error"]
-    assert summary["config_hash"] == config_hash
+    # the run was refused, so no config was run and none is recorded
+    assert summary["resolved_config"] is None and summary["config_hash"] is None
 
 
 def test_dt_override_reaches_integrator(tmp_path):
@@ -551,9 +552,23 @@ def test_flags_override_only_keys_the_resolved_block_has(tmp_path):
     assert main(["twobody", "--config", str(path), "--dt", "0.5"]) == 1
     summary = read_summary(out)
     assert summary["status"] == "config-error" and "--dt" in summary["error"]
+    assert summary["resolved_config"] is None and summary["config_hash"] is None
     # An overriding value goes through the same checks as the config's own.
     assert main(["twobody", "--config", str(path), "--t-end", "inf"]) == 1
-    assert "twobody.t_end" in read_summary(out)["error"]
+    summary = read_summary(out)
+    assert "twobody.t_end" in summary["error"]
+    assert summary["resolved_config"] is None and summary["config_hash"] is None
+
+
+def test_a_flag_value_the_library_refuses_records_no_config(tmp_path):
+    out = tmp_path / "run"
+    path = write_config(tmp_path, {"scenario": "ensemble", "out_dir": str(out),
+                                   "ensemble": VALID_BLOCKS["ensemble"]})
+    assert main(["ensemble", "--config", str(path), "--t-end", "inf"]) == 1
+    summary = read_summary(out)
+    assert summary["status"] == "config-error" and "ensemble.t_end" in summary["error"]
+    assert summary["resolved_config"] is None and summary["config_hash"] is None
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
 
 
 def test_run_error_paths_still_write_summary(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,7 @@ from momflow.errors import (
     PathThroughNode,
     UnsupportedLevel,
 )
+from momflow.fields import _energy
 
 RNG = np.random.default_rng(20260809)
 
@@ -105,8 +108,9 @@ def test_numeric_field_refuses_complex_positions():
 # evaluated at 40 digits.  Off-axis points are included because the
 # ensemble evolves in the complex plane.  The bound is relative to |p^(k)|,
 # with a floor of hbar*a**((k+1)/2), the natural size of p^(k), where
-# p^(k) itself vanishes (p'' of level 0).  Observed errors stay below
-# 3e-14, so 1e-12 leaves a margin for other platforms' libm.
+# p^(k) itself vanishes (p'' of level 0).  The largest errors seen are
+# 2.7e-14 for p, 7.7e-14 for p' and 1.8e-13 for p'', so 1e-12 leaves a
+# margin of 5.6 for other platforms' libm.
 ORACLE_REL_TOL = 1e-12
 ORACLE_POINTS = np.array([0.37, 1.9, -2.6, 3.3, 0.8 + 0.45j, -1.3 + 0.9j,
                           2.2 - 0.6j, 0.05 + 1.5j, -0.6 - 2.1j])
@@ -114,28 +118,64 @@ ORACLE_UNITS = (UnitSystem(), UnitSystem(hbar=2.0, mass=0.5, omega=3.0),
                 UnitSystem(hbar=0.7, mass=1.3, omega=0.4))
 
 
-@pytest.mark.parametrize("level", range(11))
-def test_qho_field_matches_sympy_oracle(level):
+def oracle_errors(level, units, pts, got):
+    """Relative errors of (order k, values) pairs in ``got`` at the (n, 1) ``pts``.
+
+    The reference is the k-th derivative of p, evaluated at 40 digits.
+    """
     sp = pytest.importorskip("sympy")
     mp = pytest.importorskip("mpmath")
     x, a, hbar = sp.symbols("x"), *sp.symbols("a hbar", positive=True)
     psi = sp.hermite(level, sp.sqrt(a) * x) * sp.exp(-a * x ** 2 / 2)
     p = -sp.I * hbar * sp.diff(psi, x) / psi
-    exact = [sp.lambdify((x, a, hbar), sp.diff(p, x, k), "mpmath") for k in range(3)]
+    a_num = units.mass * units.omega / units.hbar
+    refs = {}
+    for k in sorted({k for k, _values in got}):
+        exact = sp.lambdify((x, a, hbar), sp.diff(p, x, k), "mpmath")
+        with mp.workdps(40):
+            refs[k] = np.array([complex(exact(mp.mpc(z.real, z.imag), mp.mpf(a_num),
+                                              mp.mpf(units.hbar)))
+                                for z in pts[:, 0]])
+    return [(k, np.abs(values - refs[k])
+             / np.maximum(np.abs(refs[k]), units.hbar * a_num ** ((k + 1) / 2)))
+            for k, values in got]
+
+
+@pytest.mark.parametrize("level", range(11))
+def test_qho_field_matches_sympy_oracle(level):
     for units in ORACLE_UNITS:
         field = qho_field(level, units)
-        a_num = units.mass * units.omega / units.hbar
         pts = (ORACLE_POINTS * units.characteristic_length).reshape(-1, 1)
-        got = (field._value_at(pts)[:, 0], field._jacobian_at(pts)[:, 0, 0],
-               field._laplacian_at(pts)[:, 0])
-        for k in range(3):
-            floor = units.hbar * a_num ** ((k + 1) / 2)
-            with mp.workdps(40):
-                ref = np.array([complex(exact[k](mp.mpc(z.real, z.imag), mp.mpf(a_num),
-                                                 mp.mpf(units.hbar)))
-                                for z in pts[:, 0]])
-            err = np.abs(got[k] - ref) / np.maximum(np.abs(ref), floor)
+        pair_p, pair_jac = field._jacobian_at(pts)
+        # (order k, values): the pair's p is checked as well as the value's
+        got = ((0, field._value_at(pts)[:, 0]), (0, pair_p[:, 0]), (1, pair_jac[:, 0, 0]),
+               (2, field._laplacian_at(pts)[:, 0]))
+        for k, err in oracle_errors(level, units, pts, got):
             assert err.max() <= ORACLE_REL_TOL, (units, k, err.max())
+
+
+# At a distance d from a pole, rounding x**2 alone moves p by about
+# eps * |x| / d relative, so the bound scales as 1/d.  Over levels 1-10,
+# the units of ORACLE_UNITS and d = 1e-1, 1e-2 and 1e-4 characteristic
+# lengths, on and off the real axis, the largest error seen is
+# 3.5e-15 / d for p' and 1.8e-15 / d for p (level 9 at d = 1e-4), so
+# 1e-14 / d leaves a margin of 2.8.
+NEAR_POLE_REL_TOL = 1e-14
+NEAR_POLE_DISTANCES = (1e-1, 1e-2, 1e-4)
+
+
+@pytest.mark.parametrize("level", range(1, 11))
+def test_qho_field_near_its_poles_matches_sympy_oracle(level):
+    for units in ORACLE_UNITS:
+        field = qho_field(level, units)
+        for distance in NEAR_POLE_DISTANCES:
+            d = distance * units.characteristic_length
+            pts = np.array([loc + d * step for _axis, loc in field.poles
+                            for step in (1, -1, 1j, -1j)]).reshape(-1, 1)
+            pair_p, pair_jac = field._jacobian_at(pts)
+            got = ((0, field._value_at(pts)[:, 0]), (0, pair_p[:, 0]), (1, pair_jac[:, 0, 0]))
+            for k, err in oracle_errors(level, units, pts, got):
+                assert err.max() <= NEAR_POLE_REL_TOL / distance, (units, distance, k, err.max())
 
 
 @pytest.mark.parametrize("level", range(11))
@@ -160,8 +200,9 @@ def test_pole_list_is_antisymmetric_and_matches_sympy_roots(level):
 
 
 def test_qho_field_is_finite_far_from_the_origin():
-    # Hermite values overflow at |x| = 1e40 (H_10 ~ (2x)**10); the ratio
-    # recurrence never forms them.  There p ~ i*hbar*a*x.
+    # The rational form's polynomials overflow at |x| = 1e40 (u**5 = x**10
+    # at level 10); those entries fall back to the ratio recurrence, which
+    # never forms H_n.  There p ~ i*hbar*a*x.
     field = qho_field(10)
     xs = np.array([1e40, -1e40, 1e40 * (0.6 + 0.8j)])
     p = field.value(xs)
@@ -174,7 +215,8 @@ def test_qho_field_is_finite_far_from_the_origin():
 @pytest.mark.parametrize("level", [2, 6, 9, 10])
 def test_qho_field_at_zeros_of_lower_hermite_polynomials(level):
     # At x = 0 (even levels) and at rounded roots of H_k with k < n, a
-    # partial ratio of the recurrence divides by an exact zero.
+    # partial ratio of the recurrence would divide by an exact zero; the
+    # rational form divides only by H_n, which is not zero there.
     xs = [0.0] if level % 2 == 0 else []
     for k in range(1, level):
         xs.extend(np.polynomial.hermite.hermroots(np.eye(k + 1)[k]))
@@ -389,6 +431,64 @@ def test_energy_scan_blames_a_bad_sample_count_not_the_region(samples):
     with pytest.raises(ValueError, match="samples") as caught:
         energy_constancy_scan(qho_field(1), harmonic_potential(), (0.1, 5.0), samples=samples)
     assert not isinstance(caught.value, EmptyRegion)
+
+
+def test_energy_and_stationarity_make_one_field_call():
+    # p comes with its Jacobian from one kernel pass, so neither reads value
+    field, pot = qho_field(2), harmonic_potential()
+    calls = {}
+
+    def spy(name, fn):
+        def counted(pts):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(pts)
+        return counted
+
+    field._value_fn = spy("value", field._value_fn)
+    field._jacobian_fn = spy("jacobian", field._jacobian_fn)
+    xs = np.linspace(0.3, 2.5, 7).astype(complex)
+    for evaluate in (energy_at, stationarity_residual):
+        calls.clear()
+        evaluate(field, pot, xs)
+        assert calls == {"jacobian": 1}, evaluate.__name__
+
+
+ALLOC_POINTS = 10_000
+_ALLOC_PTS = (np.linspace(0.5, 3.0, ALLOC_POINTS) + 0.01j).reshape(-1, 1)
+
+
+def traced_peak(fn):
+    """Peak bytes allocated by the second call of ``fn``, the first having warmed it."""
+    fn()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def arrays_and_mask(count):
+    """Bytes of ``count`` complex (n,) arrays and one bool (n,) mask, at ALLOC_POINTS.
+
+    The mask, made only where the kernel falls back to the recurrence, also
+    covers the array headers and the few small objects of a call.
+    """
+    return count * 16 * ALLOC_POINTS + ALLOC_POINTS
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_a_low_level_value_call_allocates_two_arrays_and_a_mask(level):
+    field = qho_field(level)
+    assert traced_peak(lambda: field._value_at(_ALLOC_PTS, check=False)) <= arrays_and_mask(2)
+
+
+@pytest.mark.parametrize("level", range(11))
+def test_the_energy_pass_allocates_at_most_six_arrays(level):
+    field, pot = qho_field(level), harmonic_potential()
+    peak = traced_peak(lambda: _energy(field, pot, _ALLOC_PTS, UnitSystem()))
+    assert peak <= arrays_and_mask(6)
 
 
 # -- curl --------------------------------------------------------------------------
