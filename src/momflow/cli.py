@@ -156,7 +156,7 @@ _POTENTIAL = _kinds({
     "constant": {"value": (_number, _REQUIRED)},
 })
 _PHYSICS = {"field": (_FIELD, {}), "potential": (_POTENTIAL, {})}
-_STEPPING = {"scheme": (_choice("rk4", "rkf45"), "rk4"), "dt": (_number, 1e-3)}
+_STEPPING = {"scheme": (_choice("rk4", "rkf45"), "rk4"), "dt": (_positive, 1e-3)}
 
 _TABLES = {
     "field-scan": _block({
@@ -164,14 +164,14 @@ _TABLES = {
         "tol": (_number, 1e-9),
     }),
     "evolve": _block({
-        **_PHYSICS, "x0": (_complex, 1.0), "t_end": (_number, _REQUIRED), **_STEPPING,
+        **_PHYSICS, "x0": (_complex, 1.0), "t_end": (_positive, _REQUIRED), **_STEPPING,
         "max_displacement_tol": (_number, None),
     }),
     "ensemble": _block({
         **_PHYSICS, "count": (_integer(), 1000), "region": (_pair, _REQUIRED),
         "distribution": (_kinds({"uniform": {}, "gaussian": {"mean": (_number, 0.0),
                                                              "sigma": (_positive, 1.0)}}), {}),
-        "seed": (_integer(), 0), "t_end": (_number, 5.0), **_STEPPING,
+        "seed": (_integer(), 0), "t_end": (_positive, 5.0), **_STEPPING,
         "dump_trajectories": (_boolean, False), "bins": (_integer(1), 40),
         "histogram_times": (_list(_number, 0, math.inf, "a list of numbers"),
                             lambda p: [p["t_end"]]),

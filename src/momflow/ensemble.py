@@ -7,25 +7,27 @@ the stepper shared with ``dynamics.evolve`` advances the members of one
 contiguous cache-sized block together with vectorized arithmetic, and
 the blocks are shared out over every core this process may run on.  The
 calling process evolves one share and forks a worker for each other
-share; the workers write snapshots, energies and outcomes straight into
-anonymous shared memory.  Processes are used, not threads, because a
-step is dozens of small numpy calls and threads would spend their time
-passing the interpreter lock between them.  Forking a process that runs
-other threads can deadlock, so while any other Python thread is alive,
-and on one usable core, every block runs in the calling process.  The
-evaluation and reduction order is fixed and rkf45 controls its step size
-per member, so results are bit-identical however the members are blocked
-and whichever process evolves a block.
+share; the workers write starts, snapshots, energies and outcomes
+straight into anonymous shared memory.  Processes are used, not threads,
+because a step is dozens of small numpy calls and threads would spend
+their time passing the interpreter lock between them.  Forking a process
+that runs other threads can deadlock, so while any other Python thread
+is alive, and on one usable core, every block runs in the calling
+process.  The evaluation and reduction order is fixed and rkf45 controls
+its step size per member, so results are bit-identical however the
+members are blocked and whichever process evolves a block.
 
 Initial points are drawn on the real axis from per-member substreams.
 Seeding is splitmix64 (``mix_seed``), then numpy's ``SeedSequence``,
-then PCG64.  The PCG64 states of the whole batch are derived at once,
+then PCG64.  The PCG64 states of a batch of streams are derived at once,
 and uniform and Gaussian draws are made from them for the whole batch as
 well, bit for bit as numpy's ``Generator.random`` and ``Generator.normal``
 would make them (a Gaussian's rare slow ziggurat words are handed to
-numpy itself).  Identical specs therefore reproduce bit-identical
-ensembles.  Evolution generally leaves the real axis, so histograms
-project Re(x) and disclose the off-axis mass instead of hiding it.
+numpy itself).  Each block's starts are drawn by the process that evolves
+it, from the block's own range of streams, so they equal the whole
+batch's.  Identical specs therefore reproduce bit-identical ensembles.
+Evolution generally leaves the real axis, so histograms project Re(x)
+and disclose the off-axis mass instead of hiding it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import os
 import pickle
 import threading
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
@@ -152,10 +154,13 @@ def sample_initial(spec: EnsembleSpec, poles=(),
     """Draw the (count, d) real initial positions for ``spec``.
 
     Member i draws from its own substream mix(master_seed, first_stream + i),
-    so samples are independent of ensemble size and of each other.  The
-    draws are made for a whole batch of substreams at once, uniform ones
-    by ``substream_uniforms`` and Gaussian ones, rejection-truncated to the
-    region, by ``substream_normals``; either way they equal those of
+    so samples are independent of ensemble size and of each other, and any
+    contiguous range of members can be drawn alone by a spec with that
+    ``count`` and ``first_stream``; ``evolve_ensemble`` draws each block so,
+    in the process that evolves it.  The draws are made for a whole batch
+    of substreams at once, uniform ones by ``substream_uniforms`` and
+    Gaussian ones, rejection-truncated to the region, by
+    ``substream_normals``; either way they equal those of
     ``substream_rng(spec.seed, first_stream + i)``.  A Gaussian interval
     that a member misses 10 000 times in a row raises ``EmptyRegion``.
     """
@@ -341,18 +346,21 @@ def evolve_ensemble(field: MomentumField, potential: PotentialField, spec: Ensem
     members are stepped, and their energies recorded, in contiguous blocks
     of at most 256 KiB of complex state, with vectorized arithmetic within
     a block; the blocks are shared out over the usable cores in forked
-    workers (see the module docstring).  Each member's steps depend on its
-    own state only (rkf45 controls its step size per member), so results
-    do not depend on the block, the batch or the process a member is
-    evolved in.
+    workers (see the module docstring).  The region is checked against the
+    field's poles here, before any block runs; each block then draws its
+    own starts (``sample_initial`` on its range of streams) in the process
+    that evolves it, and an ``EmptyRegion`` raised there reaches the
+    caller.  Each member's steps depend on its own state only (rkf45
+    controls its step size per member), so results do not depend on the
+    block, the batch or the process a member is evolved in.
     """
     d = spec.dimension
     if d != field.dimension:
         raise ValueError("spec and field dimensions disagree")
     _check_potential(field, potential)
+    _check_region(spec.box, field.poles, field.tolerance.node_guard)
     times = np.linspace(0.0, spec.integrator.t_end, spec.snapshots)
     positions = _shared((spec.snapshots, spec.count, d), complex)
-    positions[0] = sample_initial(spec, poles=field.poles, tolerance=field.tolerance)
     energies = _shared((spec.snapshots, spec.count), complex) if record_energy else None
     term_time = _shared((spec.count,), float)
     term_reason = _shared((spec.count,), np.int8)
@@ -363,6 +371,7 @@ def evolve_ensemble(field: MomentumField, potential: PotentialField, spec: Ensem
     def evolve_block(b, w):
         lo, hi = blocks[b]
         block = positions[:, lo:hi]
+        block[0] = sample_initial(replace(spec, count=hi - lo, first_stream=spec.first_stream + lo))
 
         def land(k, ids, rows):
             block[k, ids] = rows
@@ -378,7 +387,7 @@ def evolve_ensemble(field: MomentumField, potential: PotentialField, spec: Ensem
         seconds[w] += time.perf_counter() - start
         if energies is not None:
             for s, pts in enumerate(block):
-                energies[s, lo:hi] = _energy(field, potential, pts, units)
+                energies[s, lo:hi] = _energy(field, potential, pts, units)[1]
 
     _in_workers(evolve_block, len(blocks))
     return EnsembleResult(

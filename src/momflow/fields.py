@@ -592,7 +592,8 @@ def _check_potential(field, potential):
 
 
 def _energy(field, potential, pts, units, divergence_scale=1.0):
-    """``energy_at`` on (n, d) points, without the pole and axis check."""
+    """``energy_at`` on (n, d) points, without the pole and axis check, and the
+    (n, d) momenta it was computed from: ``(p, E)``."""
     _check_potential(field, potential)
     p, jac = field._jacobian_at(pts, check=False)
     div = np.trace(jac, axis1=1, axis2=2)
@@ -604,7 +605,7 @@ def _energy(field, potential, pts, units, divergence_scale=1.0):
     energy /= 2.0 * units.mass
     energy += potential._value_at(pts)
     energy += div
-    return energy
+    return p, energy
 
 
 def energy_at(field: MomentumField, potential: PotentialField, r,
@@ -621,7 +622,7 @@ def energy_at(field: MomentumField, potential: PotentialField, r,
     """
     pts, restore = _as_points(r, field.dimension)
     field._check(pts)
-    return restore(_energy(field, potential, pts, units, divergence_scale))
+    return restore(_energy(field, potential, pts, units, divergence_scale)[1])
 
 
 def _axis_samples(field, region, samples, minimum):
@@ -677,8 +678,7 @@ def energy_constancy_scan(field: MomentumField, potential: PotentialField, regio
         raise ValueError("energy scans are defined for one-dimensional fields")
     xs, pts, keep = _axis_samples(field, region, samples, 2)
     xs, pts = xs[keep], pts[keep]
-    momenta = field._value_at(pts)
-    energies = _energy(field, potential, pts, units, divergence_scale)
+    momenta, energies = _energy(field, potential, pts, units, divergence_scale)
     mean = complex(energies.mean())
     deviations = np.abs(energies - mean)
     worst = int(np.argmax(deviations))

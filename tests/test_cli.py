@@ -508,6 +508,8 @@ def test_distribution_block_is_resolved_by_its_kind(tmp_path):
     ("ensemble", {"distribution": {"kind": "gaussian", "sigma": 0}}),
     ("ensemble", {"scheme": "rk5"}),
     ("evolve", {"scheme": "rk5"}),
+    ("evolve", {"dt": -0.01}), ("evolve", {"dt": 0}), ("evolve", {"t_end": 0}),
+    ("ensemble", {"dt": -0.01}), ("ensemble", {"dt": 0}), ("ensemble", {"t_end": 0}),
 ])
 def test_settings_the_library_refuses_fail_resolution(tmp_path, scenario, setting):
     # Refused before the run: no resolved config and no file but the summary.
@@ -587,13 +589,21 @@ def test_run_error_paths_still_write_summary(tmp_path):
     assert "RegionOverlapsSingularity" in summary["error"]
 
 
-def test_region_without_gaussian_mass_is_a_typed_error(tmp_path):
+@pytest.mark.parametrize("count, region, sigma, seed", [
+    pytest.param(10, [5.0, 6.0], 0.3, 3, id="10"),
+    # On two or more cores the caller draws and evolves members 0..999 at
+    # most, and forked workers the rest.  ~0.07% of draws land in (3.2, 4.0):
+    # at seed 1 members 0..999 all land within 10 000 draws and one of
+    # 1000..1999 does not, so the EmptyRegion is raised in a forked worker.
+    pytest.param(2000, [3.2, 4.0], 1.0, 1, id="2000"),
+])
+def test_region_without_gaussian_mass_is_a_typed_error(tmp_path, count, region, sigma, seed):
     out = tmp_path / "run"
     path = write_config(tmp_path, {
         "scenario": "ensemble",
         "out_dir": str(out),
-        "ensemble": {"count": 10, "region": [5.0, 6.0], "seed": 3,
-                     "distribution": {"kind": "gaussian", "mean": 0.0, "sigma": 0.3},
+        "ensemble": {"count": count, "region": region, "seed": seed,
+                     "distribution": {"kind": "gaussian", "mean": 0.0, "sigma": sigma},
                      "dt": 0.001, "t_end": 0.1},
     })
     assert main(["ensemble", "--config", str(path)]) == 1

@@ -2,6 +2,7 @@ import os
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -486,7 +487,7 @@ def test_evolution_memory_is_bounded_by_the_block(monkeypatch):
     # numpy reports its allocations to tracemalloc, which sees neither
     # forked workers nor the shared memory that holds the snapshots and
     # energies.  A run of 4 blocks of members peaks at about 12.7 blocks'
-    # worth while it steps one block (drawing the starts peaks at 6.5);
+    # worth while it steps one block (drawing a block's starts peaks at 5.0);
     # stepping the whole batch at once peaked at over 30.
     monkeypatch.setattr(ensemble, "_WORKERS", 1)
     block = _BLOCK_BYTES
@@ -608,16 +609,16 @@ def test_a_failed_fork_leaves_its_share_to_the_caller(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+def refuse_to_fork():
+    raise AssertionError("forked while another thread runs")
+
+
 def test_no_fork_while_another_thread_runs(monkeypatch):
     spec = level2_spec(301, "rk4")
     monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 64 * 16)
     monkeypatch.setattr(ensemble, "_WORKERS", 1)
     alone = evolve_ensemble(qho_field(2), POT, spec)
-
-    def refuse():
-        raise AssertionError("forked while another thread runs")
-
-    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(os, "fork", refuse_to_fork)
     monkeypatch.setattr(ensemble, "_WORKERS", 2)
     stop = threading.Event()
     other = threading.Thread(target=stop.wait, args=(30.0,))
@@ -630,6 +631,77 @@ def test_no_fork_while_another_thread_runs(monkeypatch):
     assert not other.is_alive()
     for name in RESULT_FIELDS:
         assert np.array_equal(getattr(threaded, name), getattr(alone, name), equal_nan=True), name
+
+
+@pytest.mark.parametrize("region, distribution, first_stream", [
+    ((0.8, 1.2), None, 7),
+    # the substream indices wrap past 2**64 inside a forked worker's share
+    ((0.2, 1.8), gaussian_distribution(1.0, 0.3), 2**64 - _MIN_WORKER_BLOCK - 17),
+], ids=["uniform", "gaussian"])
+def test_starts_drawn_by_each_block_equal_the_whole_batch(monkeypatch, region, distribution,
+                                                          first_stream):
+    # Each block draws its own starts in the process that evolves it: six
+    # blocks, three of them in the forked worker, and then all in the caller.
+    spec = make_spec(count=2 * _MIN_WORKER_BLOCK + 1, region=region, distribution=distribution,
+                     first_stream=first_stream, t_end=0.01, dt=1e-2, snapshots=2)
+    expected = sample_initial(spec).tobytes()
+    monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 400 * 16)
+    monkeypatch.setattr(ensemble, "_WORKERS", 2)
+    assert len(_blocks(spec.count, 1)) == 6
+    forks = forks_counted(monkeypatch)
+    forked = evolve_ensemble(FIELD, POT, spec, record_energy=False)
+    assert len(forks) == 1
+    assert forked.positions[0].real.tobytes() == expected
+    assert not np.any(forked.positions[0].imag)
+
+    monkeypatch.setattr(os, "fork", refuse_to_fork)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, args=(30.0,))
+    other.start()
+    try:
+        threaded = evolve_ensemble(FIELD, POT, spec, record_energy=False)
+    finally:
+        stop.set()
+        other.join(timeout=30.0)
+    assert not other.is_alive()
+    assert threaded.positions[0].real.tobytes() == expected
+
+
+@pytest.mark.parametrize("region, sigma, seed, caller_draws", [
+    ((5.0, 6.0), 0.3, 3, False),
+    # ~0.07% of draws land inside: at seed 1 every member of 0..999 lands
+    # within 10 000 draws and one of 1000..1999 does not, so only the forked
+    # worker raises
+    ((3.2, 4.0), 1.0, 1, True),
+], ids=["empty", "worker-only"])
+def test_a_region_without_gaussian_mass_fails_the_evolution(monkeypatch, region, sigma, seed,
+                                                            caller_draws):
+    spec = make_spec(count=2 * _MIN_WORKER_BLOCK, region=region, seed=seed, t_end=0.01, dt=1e-2,
+                     distribution=gaussian_distribution(0.0, sigma), snapshots=2)
+    with pytest.raises(EmptyRegion) as drawn:
+        sample_initial(spec)
+    monkeypatch.setattr(ensemble, "_WORKERS", 2)
+    assert _blocks(spec.count, 1) == [(0, _MIN_WORKER_BLOCK), (_MIN_WORKER_BLOCK, spec.count)]
+    if caller_draws:
+        sample_initial(replace(spec, count=_MIN_WORKER_BLOCK))
+    forks = forks_counted(monkeypatch)
+    with pytest.raises(EmptyRegion) as evolved:
+        evolve_ensemble(FIELD, POT, spec)
+    assert len(forks) == 1
+    assert str(evolved.value) == str(drawn.value)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_region_overlapping_a_node_fails_before_any_block_runs(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the evolution started")
+
+    for name in ("_shared", "_in_workers"):  # every block runs, and every fork is made, there
+        monkeypatch.setattr(ensemble, name, refuse)
+    spec = make_spec(count=2 * _MIN_WORKER_BLOCK, region=(-0.5, 0.5))
+    with pytest.raises(RegionOverlapsSingularity, match="overlaps the node-guard"):
+        evolve_ensemble(FIELD, POT, spec)
 
 
 def test_shared_step_rkf45_runs_a_small_ensemble():

@@ -434,7 +434,8 @@ def test_energy_scan_blames_a_bad_sample_count_not_the_region(samples):
 
 
 def test_energy_and_stationarity_make_one_field_call():
-    # p comes with its Jacobian from one kernel pass, so neither reads value
+    # p comes with its Jacobian from one kernel pass, so none reads value:
+    # the scan reports the momenta its energies were computed from
     field, pot = qho_field(2), harmonic_potential()
     calls = {}
 
@@ -447,10 +448,16 @@ def test_energy_and_stationarity_make_one_field_call():
     field._value_fn = spy("value", field._value_fn)
     field._jacobian_fn = spy("jacobian", field._jacobian_fn)
     xs = np.linspace(0.3, 2.5, 7).astype(complex)
-    for evaluate in (energy_at, stationarity_residual):
+    evaluations = {
+        "energy_at": lambda: energy_at(field, pot, xs),
+        "stationarity_residual": lambda: stationarity_residual(field, pot, xs),
+        "energy_constancy_scan": lambda: energy_constancy_scan(field, pot, (0.3, 2.5), samples=7),
+    }
+    for name, evaluate in evaluations.items():
         calls.clear()
-        evaluate(field, pot, xs)
-        assert calls == {"jacobian": 1}, evaluate.__name__
+        result = evaluate()
+        assert calls == {"jacobian": 1}, name
+    assert np.array_equal(result.momenta, field.value(result.points))  # the scan's
 
 
 ALLOC_POINTS = 10_000
