@@ -12,12 +12,15 @@ where the resolved block has it, and are a config error elsewhere.
 
 A run writes the files whose suffix the config enables (``.csv`` and
 ``.json`` by ``formats``, ``.svg`` by ``svg``), then ``summary.json``
-with the ``resolved_config`` and the ``config_hash`` covering it, both
-null when the config does not resolve, and the sorted names of the files
-written under ``files``; a failed run writes only ``summary.json``, with
-``files`` empty.  Only a config that cannot be read, or whose top level
-is in error and names no string ``out_dir`` (nor --out), ends without
-one, as does an ``out_dir`` that cannot be written (an error on stderr).
+with the ``resolved_config`` and the ``config_hash`` covering it, and the
+sorted names of the files written under ``files``; a failed run writes
+only ``summary.json``, with ``files`` empty.  A setting the tables or the
+library refuses (a ValueError, status ``config-error``) records both as
+null; a run that fails on its data (status ``error``) keeps them.  Only a
+config that cannot be read, or whose top level is in error (a subcommand
+other than its ``scenario`` included) and names no string ``out_dir``
+(nor --out), ends without one, as does an ``out_dir`` that cannot be
+written (an error on stderr).
 Exit codes: 0 success, 1 usage/config error, 2 a physics invariant check
 failed.  A ``momflow`` process (``run``) ends by ``os._exit`` once
 ``main`` has returned and stdout and stderr are flushed, skipping the
@@ -589,6 +592,9 @@ def main(argv=None) -> int:
         return _EXIT_CONFIG
     try:
         cfg = _top_level(data)
+        if cfg.scenario != args.command:
+            raise ConfigError(f"config.scenario: the config declares {cfg.scenario!r} but the "
+                              f"{args.command!r} subcommand was invoked")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         # the summary goes where the config or --out said the run's outputs go
@@ -599,17 +605,11 @@ def main(argv=None) -> int:
                            {"status": "config-error", "error": str(exc)})
         return _EXIT_CONFIG
 
-    if cfg.scenario != args.command:
-        print(f"error: config declares scenario {cfg.scenario!r} but the "
-              f"{args.command!r} subcommand was invoked", file=sys.stderr)
-        return _EXIT_CONFIG
-
     cfg = replace(cfg, out_dir=args.out if args.out is not None else cfg.out_dir,
                   formats=(args.format,) if args.format is not None else cfg.formats,
                   svg=args.svg or cfg.svg)
     flags = {key: getattr(args, key) for key in ("seed", "dt", "t_end")
              if getattr(args, key) is not None}
-    resolved = None  # stays None unless the config with its flags resolves
     try:
         base = _resolve_block(cfg, cfg.params)
         for key in flags:
@@ -620,8 +620,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         code, details = _EXIT_CONFIG, {"status": "config-error", "error": str(exc)}
     else:
-        resolved = cfg
         code, details = _execute(cfg)
+    # a refused setting records no config, whether the tables or the library refused it
+    resolved = None if details.get("status") == "config-error" else cfg
     if not _write_summary(cfg.scenario, resolved, cfg.out_dir, details):
         return _EXIT_CONFIG
     summary_path = Path(cfg.out_dir) / "summary.json"

@@ -36,7 +36,7 @@ import os
 import pickle
 import threading
 import time
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -191,7 +191,6 @@ class EnsembleResult:
     """Seconds spent stepping (and holding retired members in place) by the
     busiest of the processes that evolved the blocks; sampling and energy
     recording are not included."""
-    metadata: dict = dataclass_field(default_factory=dict)
 
     @property
     def completed(self):
@@ -258,10 +257,10 @@ def _in_workers(work, count):
     Of n = min(_WORKERS, count) shares, the calling process runs share 0
     and forks one worker per other share; it runs a share itself when
     that fork fails.  It runs every block itself when it cannot fork,
-    when there is one share, or when another Python thread is alive.  A worker's exception is re-raised here with its
-    type and message, or as a RuntimeError carrying its repr when it does
-    not pickle.  Every worker is reaped before this returns or raises;
-    after a failure, or an interrupt, the ones still running are killed.
+    when there is one share, or when another Python thread is alive.  A
+    worker's exception arrives pickled (see ``_worker``) and is raised
+    here.  Every worker is reaped before this returns or raises; after a
+    failure, or an interrupt, the ones still running are killed.
     """
     shares = min(_WORKERS, count)
     if shares < 2 or not hasattr(os, "fork") or threading.active_count() != 1:
@@ -294,12 +293,7 @@ def _in_workers(work, count):
             del children[pid]
             _, status = os.waitpid(pid, 0)
             if payload:
-                text, blob = pickle.loads(payload)
-                try:
-                    exc = pickle.loads(blob)
-                except Exception:  # blob is None, or the exception does not unpickle
-                    exc = RuntimeError(f"an ensemble worker raised {text}")
-                raise exc
+                raise pickle.loads(payload)
             if status:
                 raise RuntimeError("an ensemble worker ended with exit code "
                                    f"{os.waitstatus_to_exitcode(status)}")
@@ -316,8 +310,11 @@ def _in_workers(work, count):
 def _worker(work, blocks, w, pipe):
     """Evolve ``blocks`` in a forked worker, send any exception through ``pipe``, and end it.
 
-    The worker never returns into the caller's stack: ``os._exit`` also
-    skips the caller's ``atexit`` hooks and its copies of unflushed buffers.
+    The exception is sent pickled when it also unpickles, so the caller
+    raises it with its type and message; otherwise a pickled RuntimeError
+    carrying its repr is sent.  The worker never returns into the caller's
+    stack: ``os._exit`` also skips the caller's ``atexit`` hooks and its
+    copies of unflushed buffers.
     """
     status = 1
     try:
@@ -326,11 +323,12 @@ def _worker(work, blocks, w, pipe):
         status = 0
     except BaseException as exc:  # noqa: B036  (the parent re-raises it; this process ends)
         try:
-            blob = pickle.dumps(exc)
-        except Exception:  # an unpicklable exception reaches the parent as its repr
-            blob = None
+            payload = pickle.dumps(exc)
+            pickle.loads(payload)
+        except Exception:  # it would not reach the parent intact: send its repr instead
+            payload = pickle.dumps(RuntimeError(f"an ensemble worker raised {exc!r}"))
         with os.fdopen(pipe, "wb") as out:
-            out.write(pickle.dumps((repr(exc), blob)))
+            out.write(payload)
     finally:
         os._exit(status)
 
@@ -393,9 +391,7 @@ def evolve_ensemble(field: MomentumField, potential: PotentialField, spec: Ensem
     return EnsembleResult(
         spec=spec, times=times, positions=positions, energies=energies,
         termination_time=term_time, termination_reason=term_reason,
-        steps=int(steps.max()), wall_time=float(seconds.max()),
-        metadata={"scheme": spec.integrator.scheme, "dt": spec.integrator.dt,
-                  "t_end": spec.integrator.t_end})
+        steps=int(steps.max()), wall_time=float(seconds.max()))
 
 
 @dataclass

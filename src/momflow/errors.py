@@ -5,8 +5,8 @@ class MomflowError(Exception):
     """Base class for all package-specific errors."""
 
 
-class UnsupportedLevel(MomflowError):
-    """Oscillator level outside the shipped closed-form table."""
+class UnsupportedLevel(MomflowError, ValueError):
+    """Oscillator level outside the shipped closed-form table: a refused argument."""
 
 
 class NodeEvaluation(MomflowError):
@@ -67,12 +67,12 @@ class ZeroMass(MomflowError):
     """Density comparison against an empty histogram or null reference."""
 
 
-class TooFewSamples(MomflowError):
-    """History too short for the five-point derivative stencils."""
+class TooFewSamples(MomflowError, ValueError):
+    """History too short for the five-point derivative stencils: a refused argument."""
 
 
-class NonuniformSampling(MomflowError):
-    """History sample times are not uniformly spaced."""
+class NonuniformSampling(MomflowError, ValueError):
+    """History sample times are not uniformly spaced: a refused argument."""
 
 
 class ComponentNearZero(MomflowError):

@@ -18,7 +18,7 @@ NodeEvaluation rather than returning garbage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -319,15 +319,16 @@ def qho_field(level: int, units: UnitSystem = NATURAL_UNITS,
     finite, and those entries are recomputed by the ratio recurrence
     r_1 = 1/(2z), r_{k+1} = 1/(2z - 2k r_k), which never forms H_n.
 
-    Derivatives are closed-form: the eigenvalue relation supplies
-    psi''/psi = a**2 x**2 - (2n+1) a, so with L = psi'/psi
+    Derivatives are closed-form in p and x: the eigenvalue relation
+    supplies psi''/psi = a**2 x**2 - (2n+1) a, so with L = psi'/psi
 
-        p'  = -i*hbar * (psi''/psi - L**2)
-        p'' = -i*hbar * (2 a**2 x - 2 L (psi''/psi - L**2)).
+        p'  = -i*hbar * (psi''/psi - L**2) = c2 p**2 + c1 x**2 + c0
+        p'' = 2 c2 p p' + 2 c1 x
 
-    The field's ``jacobian_fn`` returns (p, p') from one pass of the
-    kernel.  The pole list holds the zeros of H_n.  Levels above 10 are
-    not tabulated and raise UnsupportedLevel.
+    with c2 = -i/hbar, c1 = -i*hbar a**2 and c0 = i*hbar (2n+1) a.  The
+    field's ``jacobian_fn`` returns (p, p'), and its ``laplacian_fn`` p'',
+    from one pass of the kernel.  The pole list holds the zeros of H_n.
+    Levels above 10 are not tabulated and raise UnsupportedLevel.
     """
     if level < 0 or level != int(level):
         raise ValueError("level must be a non-negative integer")
@@ -346,16 +347,14 @@ def qho_field(level: int, units: UnitSystem = NATURAL_UNITS,
         coeffs *= sqrt_a ** (np.arange(k + 1) - k)
         return coeffs[k % 2::2][::-1]
 
-    def constants(scale):  # numerator, monic denominator, 2n sqrt(a), -a; all but den times scale
-        num = level * scale * monic(level - 1) if level else ()
-        return (tuple(np.asarray(c).item() for c in num), tuple(c.item() for c in monic(level)),
-                np.asarray(level * two_sqrt_a * scale).item(), np.asarray(-a * scale).item())
+    # numerator, monic denominator, 2n sqrt(a), -a, all but the denominator
+    # times -i*hbar; worked out once rather than on numpy scalars at every call
+    scale = -1j * hbar
+    num = tuple(c.item() for c in level * scale * monic(level - 1)) if level else ()
+    den = tuple(c.item() for c in monic(level))
+    ratio_scale, minus_a_scale = level * two_sqrt_a * scale, complex(-a * scale)
 
-    # worked out once rather than on numpy scalars at every call
-    real, momentum = constants(1.0), constants(-1j * hbar)
-
-    def log_deriv(x, scaled=real):  # scale * psi'/psi, with ``scaled`` = constants(scale)
-        num, den, ratio_scale, minus_a_scale = scaled
+    def momentum(x):  # -i*hbar * psi'/psi
         if level == 0:
             return minus_a_scale * x
         if level == 1:  # c/x - a x
@@ -381,18 +380,14 @@ def qho_field(level: int, units: UnitSystem = NATURAL_UNITS,
                 r[bad] = ratio_scale * _ratio_recurrence(level, two_sqrt_a * z) + minus_a_scale * z
         return r
 
-    # p' = -i*hbar (psi''/psi - L**2) = c2 p**2 + c1 x**2 + c0, written in p
     c2, c1, c0 = -1j / hbar, -1j * hbar * a * a, 1j * hbar * (2 * level + 1) * a
 
-    def curvature(x):  # psi''/psi
-        return a * a * x * x - (2 * level + 1) * a
-
     def value(pts):
-        return log_deriv(pts[:, 0], momentum)[:, None]
+        return momentum(pts[:, 0])[:, None]
 
     def jacobian(pts):
         x = pts[:, 0]
-        p = log_deriv(x, momentum)
+        p = momentum(x)
         jac = p * p
         jac *= c2
         scratch = x * x
@@ -402,10 +397,8 @@ def qho_field(level: int, units: UnitSystem = NATURAL_UNITS,
         return p[:, None], jac.reshape(-1, 1, 1)
 
     def laplacian(pts):
-        x = pts[:, 0]
-        ld = log_deriv(x)
-        d_log = curvature(x) - ld * ld
-        return (-1j * hbar * (2.0 * a * a * x - 2.0 * ld * d_log))[:, None]
+        p, jac = jacobian(pts)
+        return 2.0 * c2 * p * jac[:, 0] + 2.0 * c1 * pts
 
     poles = tuple((0, root / sqrt_a) for root in _hermite_roots(level))
     return MomentumField(1, value, jacobian_fn=jacobian, laplacian_fn=laplacian,
@@ -459,15 +452,8 @@ def field_from_wavefunction(psi, nodes=(), units: UnitSystem = NATURAL_UNITS,
             return ((-1j * hbar * prime / base)[:, None],
                     (-1j * hbar * (curv - ld * ld)).reshape(-1, 1, 1))
 
-    pole_list = []
-    for node in nodes:
-        if np.isscalar(node) or isinstance(node, (int, float)):
-            pole_list.append((0, float(node)))
-        else:
-            axis, loc = node
-            pole_list.append((int(axis), float(loc)))
-
-    return MomentumField(dimension, value, jacobian_fn=jacobian, poles=pole_list,
+    poles = [(0, node) if np.isscalar(node) else node for node in nodes]
+    return MomentumField(dimension, value, jacobian_fn=jacobian, poles=poles,
                          holomorphic=False, tolerance=tolerance)
 
 
@@ -659,7 +645,6 @@ class ScanReport:
     worst_point: float
     tol: float
     passed: bool
-    metadata: dict = dataclass_field(default_factory=dict)
 
 
 def energy_constancy_scan(field: MomentumField, potential: PotentialField, region,

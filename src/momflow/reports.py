@@ -247,7 +247,7 @@ def ensemble_summary(result) -> dict:
         "steps": result.steps,
         "wall_time_s": result.wall_time,
         "snapshot_times": result.times,
-        "metadata": result.metadata,
+        "metadata": {k: getattr(result.spec.integrator, k) for k in ("scheme", "dt", "t_end")},
     }
     if result.energies is not None:
         summary["max_energy_drift"] = result.max_energy_drift()

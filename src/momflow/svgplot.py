@@ -123,12 +123,16 @@ def _polyline(frame, xs, ys, color) -> str:
     return f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
 
 
-def _document(parts):
+def _write(path, parts) -> Path:
+    """The SVG document of ``parts`` written to ``path``, its directory made if missing."""
     body = "\n".join(parts)
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
-            f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">\n'
-            f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>\n'
-            f"{body}\n</svg>\n")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+                    f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">\n'
+                    f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>\n'
+                    f"{body}\n</svg>\n", encoding="utf-8")
+    return path
 
 
 def line_plot(path, x, series, labels=None, title="", xlabel="", ylabel="",
@@ -165,11 +169,7 @@ def line_plot(path, x, series, labels=None, title="", xlabel="", ylabel="",
                          f'stroke="{color}" stroke-width="2"/>')
             parts.append(f'<text x="{lx + 24}" y="{ly}" font-size="11" '
                          f'fill="#111111">{labels[i]}</text>')
-
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(_document(parts), encoding="utf-8")
-    return path
+    return _write(path, parts)
 
 
 def histogram_plot(path, edges, counts, overlay=None, title="", xlabel="",
@@ -196,8 +196,4 @@ def histogram_plot(path, edges, counts, overlay=None, title="", xlabel="",
     if overlay is not None:
         parts.append(_polyline(frame, np.asarray(overlay[0], float),
                                np.asarray(overlay[1], float), "#d62728"))
-
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(_document(parts), encoding="utf-8")
-    return path
+    return _write(path, parts)

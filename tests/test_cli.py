@@ -74,6 +74,17 @@ def test_subcommand_must_match_scenario(tmp_path, capsys):
     assert code == 1
 
 
+def test_a_mismatched_subcommand_writes_its_summary(tmp_path, capsys):
+    path = write_config(tmp_path, {"scenario": "evolve", "evolve": {"t_end": 1.0}})
+    out = tmp_path / "run"
+    assert main(["ensemble", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: config.scenario: ")
+    summary = read_summary(out)
+    assert summary["status"] == "config-error" and "config.scenario" in summary["error"]
+    assert summary["resolved_config"] is None and summary["config_hash"] is None
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
+
+
 # -- scenarios ----------------------------------------------------------------------
 
 
@@ -396,6 +407,7 @@ VALID_BLOCKS = {
     "ensemble": {"count": 10, "region": [0.8, 1.2], "dt": 0.01, "t_end": 0.1},
     "reconstruct": {"path": {"nodes": 12}},
     "twobody": {"kind": "spinning", "samples": 50},
+    "oracle": {"points": 200},
 }
 
 
@@ -510,9 +522,17 @@ def test_distribution_block_is_resolved_by_its_kind(tmp_path):
     ("evolve", {"scheme": "rk5"}),
     ("evolve", {"dt": -0.01}), ("evolve", {"dt": 0}), ("evolve", {"t_end": 0}),
     ("ensemble", {"dt": -0.01}), ("ensemble", {"dt": 0}), ("ensemble", {"t_end": 0}),
+    # refused by the library as the run starts, by a ValueError
+    ("ensemble", {"count": 0}), ("ensemble", {"region": [2, 1]}),
+    ("oracle", {"points": 10}), ("oracle", {"states": 0}),
+    ("twobody", {"radius": -1}), ("twobody", {"gamma": 0}),
+    ("twobody", {"dt": -0.001}), ("twobody", {"samples": 3}),
+    ("evolve", {"field": {"level": 11}}), ("ensemble", {"field": {"level": 11}}),
+    ("ensemble", {"dump_trajectories": True, "count": 100001}),
 ])
 def test_settings_the_library_refuses_fail_resolution(tmp_path, scenario, setting):
-    # Refused before the run: no resolved config and no file but the summary.
+    # Refused by the tables or by the library: no resolved config and no
+    # file but the summary.
     out = tmp_path / "run"
     path = write_config(tmp_path, {"scenario": scenario, "out_dir": str(out),
                                    scenario: {**VALID_BLOCKS[scenario], **setting}})
@@ -587,6 +607,8 @@ def test_run_error_paths_still_write_summary(tmp_path):
     summary = read_summary(out)
     assert summary["status"] == "error"
     assert "RegionOverlapsSingularity" in summary["error"]
+    # a run that fails on its data keeps the config it ran
+    assert summary["config_hash"] == config_from_dict(summary["resolved_config"]).config_hash
 
 
 @pytest.mark.parametrize("count, region, sigma, seed", [
@@ -610,6 +632,7 @@ def test_region_without_gaussian_mass_is_a_typed_error(tmp_path, count, region, 
     summary = read_summary(out)
     assert summary["status"] == "error"
     assert "EmptyRegion" in summary["error"]
+    assert summary["config_hash"] == config_from_dict(summary["resolved_config"]).config_hash
 
 
 def test_cli_import_leaves_scipy_solvers_unloaded():

@@ -109,8 +109,8 @@ def test_numeric_field_refuses_complex_positions():
 # ensemble evolves in the complex plane.  The bound is relative to |p^(k)|,
 # with a floor of hbar*a**((k+1)/2), the natural size of p^(k), where
 # p^(k) itself vanishes (p'' of level 0).  The largest errors seen are
-# 2.7e-14 for p, 7.7e-14 for p' and 1.8e-13 for p'', so 1e-12 leaves a
-# margin of 5.6 for other platforms' libm.
+# 2.7e-14 for p, 7.7e-14 for p' and 2.0e-13 for p'' (level 9, from p and
+# p'), so 1e-12 leaves a margin of 5 for other platforms' libm.
 ORACLE_REL_TOL = 1e-12
 ORACLE_POINTS = np.array([0.37, 1.9, -2.6, 3.3, 0.8 + 0.45j, -1.3 + 0.9j,
                           2.2 - 0.6j, 0.05 + 1.5j, -0.6 - 2.1j])
@@ -258,6 +258,13 @@ def test_wavefunction_field_reports_numeric_derivatives():
     expected = qho_field(1).value(WAVEFUNCTION_POINTS.astype(complex))
     err = np.abs(field.value(WAVEFUNCTION_POINTS) - expected) / np.maximum(np.abs(expected), 1.0)
     assert err.max() <= 1e-15, err.max()
+
+
+def test_wavefunction_field_nodes_become_axis_location_pairs():
+    # A scalar node marks axis 0; MomentumField makes every pair (int, float).
+    poles = field_from_wavefunction(psi_level1, nodes=[1, np.float64(2.0), (0, 3.0)]).poles
+    assert poles == ((0, 1.0), (0, 2.0), (0, 3.0))
+    assert all(type(axis) is int and type(loc) is float for axis, loc in poles)
 
 
 def test_two_dimensional_wavefunction_field_matches_the_product_field():
