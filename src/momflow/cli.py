@@ -587,6 +587,10 @@ def main(argv=None) -> int:
     except FileNotFoundError:
         print(f"error: config file not found: {args.config}", file=sys.stderr)
         return _EXIT_CONFIG
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"error: cannot read config {args.config}: {reason}", file=sys.stderr)
+        return _EXIT_CONFIG
     except json.JSONDecodeError as exc:
         print(f"error: {args.config}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
         return _EXIT_CONFIG

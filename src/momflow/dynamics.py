@@ -165,19 +165,23 @@ NEAR_NODE = 1
 STEP_UNDERFLOW = 2
 REASON_LABELS = ("completed", "near-node", "step-underflow")
 
-# Fehlberg 4(5) tableau: stage coefficients, then (stage, weight) pairs of
-# the 4th-order propagation weights and of the error coefficients, with
-# their exactly-zero entries (k2 in both, k6 in the weights) left out.
-_RKF_A = (
-    (),
+def _plan(*terms):
+    """A weighted sum's (stage, weight) terms as the pair (first, rest), summed in order."""
+    return terms[0], terms[1:]
+
+
+# Fehlberg 4(5) tableau as sum plans: the stage coefficients, then the
+# 4th-order propagation weights and the error coefficients, with their
+# exactly-zero entries (k2 in both, k6 in the weights) left out.
+_RKF_A = tuple(_plan(*enumerate(row)) for row in (
     (1 / 4,),
     (3 / 32, 9 / 32),
     (1932 / 2197, -7200 / 2197, 7296 / 2197),
     (439 / 216, -8.0, 3680 / 513, -845 / 4104),
     (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
-)
-_RKF_B4 = ((0, 25 / 216), (2, 1408 / 2565), (3, 2197 / 4104), (4, -1 / 5))
-_RKF_ERR = ((0, 1 / 360), (2, -128 / 4275), (3, -2197 / 75240), (4, 1 / 50), (5, 2 / 55))
+))
+_RKF_B4 = _plan((0, 25 / 216), (2, 1408 / 2565), (3, 2197 / 4104), (4, -1 / 5))
+_RKF_ERR = _plan((0, 1 / 360), (2, -128 / 4275), (3, -2197 / 75240), (4, 1 / 50), (5, 2 / 55))
 
 
 def _rk4_schedule(times, dt):
@@ -229,8 +233,10 @@ def _integrate(field: MomentumField, x0, config: IntegratorConfig, times,
     its update is not finite.  It retires as STEP_UNDERFLOW when its rkf45
     proposal falls below ``dt_min``; a non-finite rkf45 update has a
     non-finite error estimate, which is rejected until that happens.  The
-    stepping runs with numpy's overflow, invalid and divide-by-zero
-    warnings off, since those values only ever retire a member.  Returns
+    whole run holds one ``np.errstate`` with numpy's overflow, invalid and
+    divide-by-zero warnings off, since those values only ever retire a
+    member, and calls the field's ``value_fn`` directly rather than
+    ``_value_at``, which would enter one per call.  Returns
     (last, term_time, term_reason, steps): the state each member ended in,
     the time it retired (nan if it completed), its outcome code, and the
     most steps any member accepted.  A field that is not holomorphic
@@ -238,7 +244,8 @@ def _integrate(field: MomentumField, x0, config: IntegratorConfig, times,
     """
     if not field.holomorphic:
         raise ValueError("trajectory evolution needs a field evaluable at complex positions")
-    n = x0.shape[0]
+    n, d = x0.shape
+    value_fn = field._value_fn
     inv_m = 1.0 / units.mass
     node_guard = field.tolerance.node_guard
     last = np.array(x0, dtype=complex)
@@ -255,10 +262,10 @@ def _integrate(field: MomentumField, x0, config: IntegratorConfig, times,
     cols = []
     steps = 0
     # full-length scratch for the guard, used through views of the live count
-    speed, reach_buf, bad_buf = np.empty(x.shape), np.empty(n), np.empty(n, dtype=bool)
+    speed, bad_buf = np.empty(x.shape), np.empty(n, dtype=bool)
 
     def rhs(pts):
-        p = field._value_at(pts, check=False)
+        p = np.asarray(value_fn(pts), dtype=complex)
         if inv_m != 1.0:
             return p * inv_m
         # a field that hands back (a view of) its argument would see the
@@ -286,7 +293,10 @@ def _integrate(field: MomentumField, x0, config: IntegratorConfig, times,
         k1 = rhs(x)
         m = len(x)
         # dist < 2 guard, or speed * h > dist / 2, with the 1-norm speed
-        reach = np.abs(k1, out=speed[:m]).sum(axis=1, out=reach_buf[:m])
+        # summed over the components in order, as sum(axis=1) would
+        reach = np.abs(k1, out=speed[:m])[:, 0]
+        for j in range(1, d):
+            reach += speed[:m, j]
         reach *= 2.0 * h
         np.maximum(reach, 2.0 * node_guard, out=reach)
         bad = np.less(field.pole_distances(x), reach, out=bad_buf[:m])
@@ -295,8 +305,8 @@ def _integrate(field: MomentumField, x0, config: IntegratorConfig, times,
         keep = drop(bad, t, NEAR_NODE)
         return k1[keep], keep
 
-    def weighted_sum(out, tmp, terms, ks):
-        (i, c), *rest = terms
+    def weighted_sum(out, tmp, plan, ks):
+        (i, c), rest = plan
         np.multiply(ks[i], c, out=out)
         for i, c in rest:
             np.multiply(ks[i], c, out=tmp)
@@ -349,9 +359,8 @@ def _integrate(field: MomentumField, x0, config: IntegratorConfig, times,
             err_buf, scale_buf = np.empty(x.shape), np.empty(x.shape)
             while ids.size:
                 clock, proposal, nxt, taken = cols
-                under = proposal < config.dt_min
-                if under.any():
-                    drop(under, clock, STEP_UNDERFLOW)
+                if proposal.min() < config.dt_min:
+                    drop(proposal < config.dt_min, clock, STEP_UNDERFLOW)
                     continue
                 target = times[nxt]
                 room = target - clock
@@ -364,10 +373,10 @@ def _integrate(field: MomentumField, x0, config: IntegratorConfig, times,
                     target, room, h = target[keep], room[keep], h[keep]
                 m = ids.size
                 hc = h.astype(complex)[:, None]  # the cast each multiply would make
-                hk = hks[:, :m]
+                hk = [hks[stage, :m] for stage in range(6)]
                 np.multiply(k1, hc, out=hk[0])
-                for stage in range(1, 6):
-                    weighted_sum(arg, acc, enumerate(_RKF_A[stage]), hk)
+                for stage, plan in enumerate(_RKF_A, 1):
+                    weighted_sum(arg, acc, plan, hk)
                     arg += x
                     np.multiply(rhs(arg), hc, out=hk[stage])
                 weighted_sum(acc, arg, _RKF_ERR, hk)
@@ -376,7 +385,11 @@ def _integrate(field: MomentumField, x0, config: IntegratorConfig, times,
                 scale *= config.rel_tol
                 scale += config.abs_tol
                 err /= scale
-                ratio = err.max(axis=1)
+                # the largest component, as max(axis=1) would; for d > 1 a
+                # fresh contiguous array, as max gave, for the power below
+                ratio = err[:, 0]
+                for j in range(1, d):
+                    ratio = np.maximum(ratio, err[:, j])
                 ok = ratio <= 1.0  # a non-finite estimate is a rejection
                 weighted_sum(acc, arg, _RKF_B4, hk)
                 acc += x
@@ -396,7 +409,7 @@ def _integrate(field: MomentumField, x0, config: IntegratorConfig, times,
                 taken += ok
                 if accepted is not None and ok.any():
                     accepted(cols[0][ok], ids[ok], x[ok], h[ok])
-                landed = np.flatnonzero(lands)
+                landed = lands.nonzero()[0]
                 if landed.size:
                     if land is not None:
                         land(nxt[landed], ids[landed], x[landed])

@@ -18,6 +18,7 @@ NodeEvaluation rather than returning garbage.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +143,13 @@ class MomentumField:
         Distance from a pole inside which evaluations, while legal, are
         not trustworthy (grid-derived fields lose accuracy within a few
         spacings of a node).  Scans skip this neighborhood.
+
+    Evaluation returns non-finite values and does not warn: each
+    evaluator runs under one ``np.errstate`` that ignores overflow,
+    invalid values and division by zero, so an entry that overflows, or
+    one on a pole evaluated with the check skipped, comes back as inf or
+    nan.  The evaluators themselves need no errstate of their own, and a
+    caller that holds one (the stepper) may call ``value_fn`` directly.
     """
 
     def __init__(self, dimension, value_fn, *, jacobian_fn=None, laplacian_fn=None,
@@ -194,26 +202,30 @@ class MomentumField:
     def _value_at(self, pts, check=True):
         if check:
             self._check(pts)
-        return np.asarray(self._value_fn(pts), dtype=complex)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return np.asarray(self._value_fn(pts), dtype=complex)
 
     def _jacobian_at(self, pts, check=True):
         """(p, J) at (n, d) points: the momenta and J[:, i, j] = d p_i / d x_j."""
         if check:
             self._check(pts)
-        if self._jacobian_fn is not None:
-            p, jac = self._jacobian_fn(pts)
-            return np.asarray(p, dtype=complex), np.asarray(jac, dtype=complex)
-        return self._value_at(pts, check=False), _richardson_gradient(self._value_fn, pts)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            if self._jacobian_fn is not None:
+                p, jac = self._jacobian_fn(pts)
+                return np.asarray(p, dtype=complex), np.asarray(jac, dtype=complex)
+            return (np.asarray(self._value_fn(pts), dtype=complex),
+                    _richardson_gradient(self._value_fn, pts))
 
     def _laplacian_at(self, pts, check=True):
         if check:
             self._check(pts)
-        if self._laplacian_fn is not None:
-            return np.asarray(self._laplacian_fn(pts), dtype=complex)
-        out = np.zeros(pts.shape, dtype=complex)
-        for j in range(pts.shape[1]):
-            out += _richardson(self._value_fn, pts, j, 2)
-        return out
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            if self._laplacian_fn is not None:
+                return np.asarray(self._laplacian_fn(pts), dtype=complex)
+            out = np.zeros(pts.shape, dtype=complex)
+            for j in range(pts.shape[1]):
+                out += _richardson(self._value_fn, pts, j, 2)
+            return out
 
     # -- public API ----------------------------------------------------------
 
@@ -317,7 +329,9 @@ def qho_field(level: int, units: UnitSystem = NATURAL_UNITS,
     run by Horner's rule and meet in one complex division.  Where H_n
     overflows (|x| beyond about 1e30 at level 10) the result is not
     finite, and those entries are recomputed by the ratio recurrence
-    r_1 = 1/(2z), r_{k+1} = 1/(2z - 2k r_k), which never forms H_n.
+    r_1 = 1/(2z), r_{k+1} = 1/(2z - 2k r_k), which never forms H_n.  The
+    kernel sets no errstate: the field's evaluators, or the stepper that
+    calls ``value_fn``, hold the one that silences that overflow.
 
     Derivatives are closed-form in p and x: the eigenvalue relation
     supplies psi''/psi = a**2 x**2 - (2n+1) a, so with L = psi'/psi
@@ -361,23 +375,22 @@ def qho_field(level: int, units: UnitSystem = NATURAL_UNITS,
             r = num[0] / x
             r += minus_a_scale * x
             return r
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            u = x * x
-            in_place = u if len(den) == 2 else None  # u's last read
-            if odd:
-                r = _horner(num, u)
-                scratch = _horner(den, u, x, out=in_place)
-            else:
-                r = _horner(num, u, x)
-                scratch = _horner(den, u, out=in_place)
-            r /= scratch
-            np.multiply(x, minus_a_scale, out=scratch)
-            r += scratch
-            # a sum is finite only if every entry is, and costs no mask
-            if not np.isfinite(r.sum()):
-                bad = ~np.isfinite(r)
-                z = x[bad]
-                r[bad] = ratio_scale * _ratio_recurrence(level, two_sqrt_a * z) + minus_a_scale * z
+        u = x * x
+        in_place = u if len(den) == 2 else None  # u's last read
+        if odd:
+            r = _horner(num, u)
+            scratch = _horner(den, u, x, out=in_place)
+        else:
+            r = _horner(num, u, x)
+            scratch = _horner(den, u, out=in_place)
+        r /= scratch
+        np.multiply(x, minus_a_scale, out=scratch)
+        r += scratch
+        # a sum is finite only if every entry is, and costs no mask
+        if not cmath.isfinite(r.sum()):
+            bad = ~np.isfinite(r)
+            z = x[bad]
+            r[bad] = ratio_scale * _ratio_recurrence(level, two_sqrt_a * z) + minus_a_scale * z
         return r
 
     c2, c1, c0 = -1j / hbar, -1j * hbar * a * a, 1j * hbar * (2 * level + 1) * a
@@ -471,8 +484,8 @@ def product_field(factors, tolerance: TolerancePolicy | None = None) -> Momentum
         raise ValueError("every factor must be one-dimensional")
     tol = tolerance or factors[0].tolerance
 
-    def value(pts):
-        cols = [f._value_at(pts[:, k].reshape(-1, 1), check=False)[:, 0]
+    def value(pts):  # the factors' own value functions: the caller holds the errstate
+        cols = [np.asarray(f._value_fn(pts[:, k].reshape(-1, 1)), dtype=complex)[:, 0]
                 for k, f in enumerate(factors)]
         return np.stack(cols, axis=1)
 

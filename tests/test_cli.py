@@ -67,6 +67,23 @@ def test_missing_config_file(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("make, reason", [
+    (lambda path: path.mkdir(), "Is a directory"),
+    (lambda path: path.write_bytes(b'{"scenario": "evolve", "out_dir": "\xff"}'),
+     "can't decode byte 0xff"),
+])
+def test_an_unreadable_config_is_an_error_line(tmp_path, capsys, make, reason):
+    # a directory, or a file that is not UTF-8: one error line, exit 1, no summary
+    path = tmp_path / "run.json"
+    make(path)
+    code = main(["evolve", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot read config {path}: ") and reason in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_subcommand_must_match_scenario(tmp_path, capsys):
     path = write_config(tmp_path, {"scenario": "evolve",
                                    "evolve": {"t_end": 1.0}})

@@ -13,11 +13,14 @@ from momflow import (
     force_at,
     harmonic_potential,
     polynomial_potential,
+    product_field,
     qho_analytic_position,
     qho_field,
     stationarity_residual,
     zero_potential,
 )
+from momflow.core import NATURAL_UNITS
+from momflow.dynamics import NEAR_NODE, _integrate
 from momflow.errors import (
     BranchAmbiguity,
     EmptyRegion,
@@ -171,6 +174,33 @@ def test_rk4_evolve_makes_four_field_calls_per_step():
     traj = evolve(field, POT, math.sqrt(2.0), IntegratorConfig(t_end=0.1, dt=1e-2))
     assert len(traj) == 11
     assert calls == [1] * 40 + [11]  # four per step, then every stored momentum at once
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "rkf45"])
+@pytest.mark.parametrize("field, x0", [
+    (qho_field(1), [[1.3], [0.9], [0.02]]),
+    (qho_field(2), [[1.3], [0.9], [0.72]]),
+    (qho_field(3), [[1.5], [0.6], [1.23]]),
+    (product_field([qho_field(1), qho_field(2)]), [[1.3, 1.2], [0.9, 1.5], [0.02, 1.0]]),
+], ids=["level-1", "level-2", "level-3", "product-1x2"])
+def test_a_stepping_run_enters_one_errstate(monkeypatch, field, x0, scheme):
+    # The stepper holds one np.errstate for the whole run and calls the
+    # field's value function directly; going through _value_at, which holds
+    # its own, would enter one per stage.  The last member retires near a
+    # pole, so the retiring path runs too.
+    entries = []
+
+    class CountingErrstate(np.errstate):
+        def __enter__(self):
+            entries.append(self)
+            return super().__enter__()
+
+    monkeypatch.setattr(np, "errstate", CountingErrstate)
+    config = IntegratorConfig(t_end=0.2, dt=1e-2, scheme=scheme)
+    _, _, reason, steps = _integrate(field, np.array(x0, dtype=complex), config,
+                                     np.linspace(0.0, 0.2, 5), NATURAL_UNITS)
+    assert steps >= 4 and reason[-1] == NEAR_NODE
+    assert len(entries) == 1
 
 
 def test_evolve_starts_from_exactly_one_position():

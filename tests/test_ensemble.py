@@ -1,3 +1,4 @@
+import hashlib
 import os
 import threading
 import time
@@ -24,9 +25,11 @@ from momflow import (
     field_from_wavefunction,
     gaussian_distribution,
     harmonic_potential,
+    product_field,
     qho_analytic_position,
     qho_field,
     sample_initial,
+    separable_potential,
     solve_schrodinger_1d,
     uniform_distribution,
 )
@@ -432,6 +435,28 @@ def test_aggregates_ignore_member_order():
     direct, _ = np.histogram(xs, edges)
     permuted, _ = np.histogram(np.random.default_rng(3).permutation(xs), edges)
     assert np.array_equal(direct, permuted)
+
+
+@pytest.mark.parametrize("scheme, digest", [
+    ("rk4", "1326e82a9362cbee5981cf057d0543d029935e5cd97f3cfa023073612aae4e16"),
+    ("rkf45", "dc64e29d731df6cd5024aa46bc7d2ea3f17c50b52da51b3da56da13b76b8ee6d"),
+])
+def test_two_component_ensemble_is_pinned_bit_for_bit(scheme, digest):
+    # No benchmark steps a field with more than one component, so the
+    # per-component arithmetic (the guard's 1-norm, the rkf45 error
+    # ratio's maximum) is pinned here: the sha256 of every snapshot
+    # position and termination reason.  19 (rk4) and 16 (rkf45) of the
+    # members retire near the level-2 node at 0.707.
+    field = product_field([qho_field(1), qho_field(2)])
+    potential = separable_potential([harmonic_potential(), harmonic_potential()])
+    extra = {"dt_min": 1e-3} if scheme == "rkf45" else {}
+    spec = EnsembleSpec(count=200, region=((0.5, 1.5), (0.8, 1.6)),
+                        distribution=uniform_distribution(), seed=SeedSpec(29), snapshots=21,
+                        integrator=IntegratorConfig(t_end=2.0, dt=1e-2, scheme=scheme, **extra))
+    result = evolve_ensemble(field, potential, spec, record_energy=False)
+    assert np.count_nonzero(result.termination_reason == NEAR_NODE) == (19 if scheme == "rk4" else 16)
+    data = result.positions.tobytes() + result.termination_reason.tobytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def level2_spec(count, scheme, dt=1e-2, t_end=2.0, snapshots=21, region=(0.75, 2.0)):

@@ -199,10 +199,12 @@ def test_pole_list_is_antisymmetric_and_matches_sympy_roots(level):
     assert np.all(np.abs(poles - exact) <= 16 * np.finfo(float).eps * scale)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_qho_field_is_finite_far_from_the_origin():
     # The rational form's polynomials overflow at |x| = 1e40 (u**5 = x**10
     # at level 10); those entries fall back to the ratio recurrence, which
-    # never forms H_n.  There p ~ i*hbar*a*x.
+    # never forms H_n.  There p ~ i*hbar*a*x.  The overflow stays silent in
+    # every evaluation that goes through the field.
     field = qho_field(10)
     xs = np.array([1e40, -1e40, 1e40 * (0.6 + 0.8j)])
     p = field.value(xs)
@@ -210,6 +212,10 @@ def test_qho_field_is_finite_far_from_the_origin():
     assert np.all(np.abs(p - 1j * xs) <= 1e-12 * np.abs(xs))
     assert np.all(np.isfinite(field.jacobian(xs)))
     assert np.all(np.isfinite(field.vector_laplacian(xs)))
+    potential = harmonic_potential()
+    assert np.all(np.isfinite(energy_at(field, potential, xs)))
+    assert np.all(np.isfinite(force_at(field, potential, xs)))
+    assert np.all(np.isfinite(stationarity_residual(field, potential, xs)))
 
 
 @pytest.mark.parametrize("level", [2, 6, 9, 10])
