@@ -16,23 +16,23 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "core": ("DEFAULT_TOLERANCE", "NATURAL_UNITS", "SeedSpec", "TolerancePolicy", "UnitSystem",
              "mix_seed", "substream_rng"),
-    "dynamics": ("IntegratorConfig", "PhasePoint", "Trajectory", "classify_fixed_points",
-                 "evolve", "force_at", "qho_analytic_position", "stationarity_residual"),
+    "dynamics": ("IntegratorConfig", "Trajectory", "classify_fixed_points", "evolve", "force_at",
+                 "qho_analytic_position", "stationarity_residual"),
     "ensemble": ("DensityComparison", "DensityHistogram", "Distribution", "EnsembleResult",
                  "EnsembleSpec", "compare_density_to_born", "density_histogram",
-                 "draw_measurement", "evolve_ensemble", "gaussian_distribution",
-                 "sample_initial", "uniform_distribution"),
+                 "evolve_ensemble", "gaussian_distribution", "sample_initial",
+                 "uniform_distribution"),
     "fields": ("MomentumField", "PotentialField", "ScanReport", "WavefunctionSamples",
                "constant_potential", "curl_residual", "energy_at", "energy_constancy_scan",
                "field_from_wavefunction", "harmonic_potential", "polynomial_potential",
                "product_field", "qho_field", "reconstruct_wavefunction", "separable_potential",
-               "wavefunction_interpolant", "zero_potential"),
+               "zero_potential"),
     "gridsolver": ("EigenPair", "Grid1D", "field_from_grid", "solve_schrodinger_1d"),
     "twobody": ("BoundEnergy", "InvariantSeries", "MomentumHistory", "RotationMomentum",
                 "SpinningPairParams", "bound_energy", "component_product",
-                "coulomb_interaction", "coupled_acceleration_residual", "delta_e",
-                "force_norm_invariant", "matrix_delta_e", "rotation_matrix", "spinning_pair",
-                "spinning_pair_history", "stencil_derivative", "total_momentum_drift"),
+                "coupled_acceleration_residual", "delta_e", "force_norm_invariant",
+                "matrix_delta_e", "rotation_matrix", "spinning_pair", "spinning_pair_history",
+                "stencil_derivative", "total_momentum_drift"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = {*_EXPORTS, "cli", "errors", "reports", "svgplot"}

@@ -23,8 +23,6 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "mix_seed",
     "substream_rng",
-    "substream_uniforms",
-    "substream_normals",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -153,10 +151,6 @@ class UnitSystem:
     def characteristic_length(self) -> float:
         """Oscillator length sqrt(hbar / (mass * omega))."""
         return math.sqrt(self.hbar / (self.mass * self.omega))
-
-    def oscillator_ratio(self, x):
-        """Dimensionless combination mass*omega*x**2/hbar."""
-        return self.mass * self.omega * x * x / self.hbar
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ from .errors import (
 from .fields import MomentumField, PotentialField, _as_points, _axis_samples, _check_potential
 
 __all__ = [
-    "PhasePoint",
     "Trajectory",
     "IntegratorConfig",
     "force_at",
@@ -45,15 +44,6 @@ __all__ = [
     "qho_analytic_position",
     "classify_fixed_points",
 ]
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """One (t, position, momentum) sample of a trajectory."""
-
-    t: float
-    position: np.ndarray
-    momentum: np.ndarray
 
 
 class Trajectory:
@@ -79,14 +69,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.times)
-
-    def point(self, i: int) -> PhasePoint:
-        return PhasePoint(float(self.times[i]), self.positions[i].copy(),
-                          self.momenta[i].copy())
-
-    @property
-    def final(self) -> PhasePoint:
-        return self.point(len(self) - 1)
 
     @property
     def x(self):
@@ -438,9 +420,9 @@ def evolve(field: MomentumField, potential: PotentialField, x0, config: Integrat
     start, _ = _as_points(x0, field.dimension)
     if start.shape[0] != 1:
         raise ValueError(f"evolve starts from one position, got {start.shape[0]}")
-    times, positions, steps = [0.0], [start], []
+    times, positions, steps = [], [start], []
 
-    def keep(t, ids, rows, h):
+    def keep(t, ids, rows, h):  # t and h: floats under rk4, 1-element arrays under rkf45
         times.append(t)
         positions.append(rows.copy())
         steps.append(h)
@@ -456,13 +438,13 @@ def evolve(field: MomentumField, potential: PotentialField, x0, config: Integrat
     if reason[0] != COMPLETED:
         metadata["halt"] = ("step size underflow" if reason[0] == STEP_UNDERFLOW
                             else "approached field singularity")
-    traj = Trajectory(np.hstack(times), positions, field._value_at(positions, check=False),
-                      config.scheme, step_sizes=np.hstack(steps) if steps else None,
-                      metadata=metadata)
+    traj = Trajectory(np.concatenate(([0.0], np.ravel(times))), positions,
+                      field._value_at(positions, check=False), config.scheme,
+                      step_sizes=np.ravel(steps) if steps else None, metadata=metadata)
     if reason[0] == COMPLETED:
         return traj
     error = StepUnderflow if reason[0] == STEP_UNDERFLOW else TrajectoryNearSingularity
-    raise error(metadata["halt"], trajectory=traj, last_point=traj.final)
+    raise error(metadata["halt"], trajectory=traj)
 
 
 # -- analytic oscillator solution ------------------------------------------------

@@ -59,7 +59,6 @@ __all__ = [
     "evolve_ensemble",
     "density_histogram",
     "compare_density_to_born",
-    "draw_measurement",
 ]
 
 _OFF_AXIS_CUT = 0.01
@@ -259,8 +258,9 @@ def _in_workers(work, count):
     that fork fails.  It runs every block itself when it cannot fork,
     when there is one share, or when another Python thread is alive.  A
     worker's exception arrives pickled (see ``_worker``) and is raised
-    here.  Every worker is reaped before this returns or raises; after a
-    failure, or an interrupt, the ones still running are killed.
+    here once the caller has run its own share.  Every worker is reaped
+    before this returns or raises; after a failure, or an interrupt, the
+    ones still running are killed.
     """
     shares = min(_WORKERS, count)
     if shares < 2 or not hasattr(os, "fork") or threading.active_count() != 1:
@@ -347,10 +347,11 @@ def evolve_ensemble(field: MomentumField, potential: PotentialField, spec: Ensem
     workers (see the module docstring).  The region is checked against the
     field's poles here, before any block runs; each block then draws its
     own starts (``sample_initial`` on its range of streams) in the process
-    that evolves it, and an ``EmptyRegion`` raised there reaches the
-    caller.  Each member's steps depend on its own state only (rkf45
-    controls its step size per member), so results do not depend on the
-    block, the batch or the process a member is evolved in.
+    that evolves it.  An exception raised in a worker, an ``EmptyRegion``
+    among them, is raised here once the caller has evolved its own share.
+    Each member's steps depend on its own state only (rkf45 controls its
+    step size per member), so results do not depend on the block, the
+    batch or the process a member is evolved in.
     """
     d = spec.dimension
     if d != field.dimension:
@@ -401,7 +402,6 @@ class DensityHistogram:
     time: float
     edges: np.ndarray
     counts: np.ndarray
-    sample_count: int        # ensemble size
     terminated_count: int    # members no longer alive at this time
     off_axis_count: int      # alive members with |Im x| > 0.01
     outside_count: int       # alive members falling outside the bin range
@@ -444,7 +444,6 @@ def density_histogram(result: EnsembleResult, t: float, bins) -> DensityHistogra
     outside = int(re.size - counts.sum())
     return DensityHistogram(
         time=float(result.times[s]), edges=edges, counts=counts,
-        sample_count=result.spec.count,
         terminated_count=int(np.count_nonzero(~alive)),
         off_axis_count=off_axis, outside_count=outside)
 
@@ -490,17 +489,3 @@ def compare_density_to_born(hist: DensityHistogram, psi) -> DensityComparison:
     return DensityComparison(
         l1_distance=float(np.abs(p - q).sum()),
         js_divergence=js, residuals=p - q, reference=q)
-
-
-def draw_measurement(result: EnsembleResult, t: float, rng: np.random.Generator):
-    """Position of one member picked uniformly among those alive near ``t``.
-
-    Uniform weighting is an assumption: no weighting rule for picking a
-    member is prescribed by the dynamics.
-    """
-    s = result.snapshot_index(t)
-    alive = np.flatnonzero(result.alive_at(s))
-    if alive.size == 0:
-        raise ZeroMass("no live members to measure")
-    choice = int(rng.integers(alive.size))
-    return complex(result.positions[s, alive[choice], 0])

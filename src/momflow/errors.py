@@ -37,14 +37,13 @@ class ConvergenceFailure(MomflowError):
 class TrajectoryNearSingularity(MomflowError):
     """Trajectory approached a field singularity and was halted.
 
-    Carries the partial ``trajectory`` and the ``last_point`` accepted
+    Carries the partial ``trajectory``, up to the last step accepted
     before the halt.
     """
 
-    def __init__(self, message, trajectory=None, last_point=None):
+    def __init__(self, message, trajectory=None):
         super().__init__(message)
         self.trajectory = trajectory
-        self.last_point = last_point
 
 
 class StepUnderflow(TrajectoryNearSingularity):

@@ -51,7 +51,6 @@ __all__ = [
     "energy_constancy_scan",
     "curl_residual",
     "reconstruct_wavefunction",
-    "wavefunction_interpolant",
 ]
 
 # Central-difference steps, relative to (1 + |r|).  Second differences
@@ -420,21 +419,15 @@ def qho_field(level: int, units: UnitSystem = NATURAL_UNITS,
 
 
 def field_from_wavefunction(psi, nodes=(), units: UnitSystem = NATURAL_UNITS,
-                            dimension: int = 1, psi_prime=None, psi_second=None,
+                            dimension: int = 1,
                             tolerance: TolerancePolicy = DEFAULT_TOLERANCE) -> MomentumField:
     """Momentum field p = -i*hbar*grad(psi)/psi from a wavefunction callable.
 
     For dimension 1 ``psi`` receives a 1-D complex array of positions; for
     higher dimensions it receives (n, d) arrays.  ``nodes`` lists known
     zeros of psi, either as scalars (1-D) or (axis, location) pairs.
-
-    When ``psi_prime`` is supplied the field uses it directly, and with
-    ``psi_second`` as well so does the Jacobian, which then comes with p
-    from the same psi and psi' values; every other derivative,
-    the vector Laplacian always included, comes from Richardson-extrapolated
-    central differences, so ``derivative_kind`` is
-    "numeric-central-difference".  Derivative callables are honored for
-    dimension 1 only.
+    The gradient, and every derivative of p, comes from
+    Richardson-extrapolated central differences.
     """
     hbar = units.hbar
 
@@ -445,28 +438,11 @@ def field_from_wavefunction(psi, nodes=(), units: UnitSystem = NATURAL_UNITS,
         def psi_at(pts):
             return np.asarray(psi(pts), dtype=complex)
 
-    if psi_prime is not None and dimension == 1:
-        def value(pts):
-            x = pts[:, 0]
-            return (-1j * hbar * np.asarray(psi_prime(x), dtype=complex)
-                    / np.asarray(psi(x), dtype=complex))[:, None]
-    else:
-        def value(pts):
-            return -1j * hbar * (_richardson_gradient(psi_at, pts) / psi_at(pts)[:, None])
-
-    jacobian = None
-    if psi_prime is not None and psi_second is not None and dimension == 1:
-        def jacobian(pts):
-            x = pts[:, 0]
-            base = np.asarray(psi(x), dtype=complex)
-            prime = np.asarray(psi_prime(x), dtype=complex)
-            ld = prime / base
-            curv = np.asarray(psi_second(x), dtype=complex) / base
-            return ((-1j * hbar * prime / base)[:, None],
-                    (-1j * hbar * (curv - ld * ld)).reshape(-1, 1, 1))
+    def value(pts):
+        return -1j * hbar * (_richardson_gradient(psi_at, pts) / psi_at(pts)[:, None])
 
     poles = [(0, node) if np.isscalar(node) else node for node in nodes]
-    return MomentumField(dimension, value, jacobian_fn=jacobian, poles=poles,
+    return MomentumField(dimension, value, poles=poles,
                          holomorphic=False, tolerance=tolerance)
 
 
@@ -700,11 +676,10 @@ def curl_residual(field: MomentumField, r) -> float:
 
 @dataclass
 class WavefunctionSamples:
-    """psi sampled along a path, with the anchoring amplitude."""
+    """psi sampled along a path."""
 
     path: np.ndarray
     values: np.ndarray
-    amplitude: complex
     phase_integrals: np.ndarray  # cumulative line integral of p
 
 
@@ -756,8 +731,7 @@ def _segment_pole_distance(a, b, axis, loc):
 
 
 def reconstruct_wavefunction(field: MomentumField, path, amplitude: complex = 1.0,
-                             units: UnitSystem = NATURAL_UNITS,
-                             rel_tol: float = 1e-12) -> WavefunctionSamples:
+                             units: UnitSystem = NATURAL_UNITS) -> WavefunctionSamples:
     """psi = A*exp((i/hbar) * integral of p . dr) accumulated along ``path``.
 
     ``path`` is an ordered sequence of points joined by straight
@@ -779,28 +753,7 @@ def reconstruct_wavefunction(field: MomentumField, path, amplitude: complex = 1.
 
     integrals = np.zeros(pts.shape[0], dtype=complex)
     for i in range(pts.shape[0] - 1):
-        integrals[i + 1] = integrals[i] + _segment_integral(
-            field, pts[i], pts[i + 1], rel_tol=rel_tol)
+        integrals[i + 1] = integrals[i] + _segment_integral(field, pts[i], pts[i + 1])
     values = amplitude * np.exp(1j * integrals / units.hbar)
     path_out = pts[:, 0] if field.dimension == 1 else pts
-    return WavefunctionSamples(path=path_out, values=values,
-                               amplitude=complex(amplitude),
-                               phase_integrals=integrals)
-
-
-def wavefunction_interpolant(samples: WavefunctionSamples):
-    """Cubic-spline callable through 1-D reconstruction samples.
-
-    The spline is a function on the real axis; complex-typed positions
-    (as produced by on-axis field evaluation) are projected to their
-    real parts.
-    """
-    from scipy.interpolate import CubicSpline
-
-    xs = np.asarray(samples.path)
-    if xs.ndim != 1:
-        raise ValueError("interpolation is supported for 1-D paths only")
-    if np.any(np.abs(xs.imag) > _OFF_AXIS_TOL):
-        raise ValueError("interpolation requires a real path")
-    spline = CubicSpline(xs.real, samples.values)
-    return lambda x: spline(np.asarray(x).real)
+    return WavefunctionSamples(path=path_out, values=values, phase_integrals=integrals)

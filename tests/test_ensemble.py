@@ -18,7 +18,6 @@ from momflow import (
     UnitSystem,
     compare_density_to_born,
     density_histogram,
-    draw_measurement,
     evolve,
     evolve_ensemble,
     field_from_grid,
@@ -799,8 +798,6 @@ def test_time_out_of_range():
             result.snapshot_index(t)
     with pytest.raises(TimeOutOfRange):
         density_histogram(result, np.nan, 10)
-    with pytest.raises(TimeOutOfRange):
-        draw_measurement(result, np.nan, np.random.default_rng(0))
 
 
 def test_nonuniform_bins_rejected():
@@ -823,8 +820,7 @@ def test_bin_count_must_be_positive(bins):
 def _manual_hist(edges, counts):
     counts = np.asarray(counts, dtype=float)
     return DensityHistogram(time=0.0, edges=np.asarray(edges, float), counts=counts,
-                            sample_count=int(counts.sum()), terminated_count=0,
-                            off_axis_count=0, outside_count=0)
+                            terminated_count=0, off_axis_count=0, outside_count=0)
 
 
 def test_matching_density_has_zero_distance():
@@ -865,11 +861,3 @@ def test_zero_mass_is_rejected():
     hist = _manual_hist(np.linspace(0, 1, 4), [0, 0, 0])
     with pytest.raises(ZeroMass):
         compare_density_to_born(hist, lambda x: np.ones_like(x))
-
-
-def test_measurement_picks_a_live_member():
-    spec = make_spec(count=100, t_end=1.0)
-    result = evolve_ensemble(FIELD, POT, spec)
-    rng = np.random.default_rng(5)
-    value = draw_measurement(result, 1.0, rng)
-    assert np.any(np.isclose(result.positions[-1, :, 0], value))

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from momflow import (
     EnsembleSpec,
@@ -23,7 +24,6 @@ from momflow import (
     separable_potential,
     stationarity_residual,
     uniform_distribution,
-    wavefunction_interpolant,
     zero_potential,
 )
 from momflow.errors import (
@@ -251,19 +251,14 @@ WAVEFUNCTION_POINTS = np.array([0.3, 0.7, 1.0, 1.5, 2.2, 3.1, 4.0, -0.5, -1.9, -
 
 
 def test_wavefunction_field_reports_numeric_derivatives():
-    # psi' and psi'' give p and its Jacobian in closed form, but the vector
-    # Laplacian is still Richardson differences of p
-    field = field_from_wavefunction(
-        psi_level1, nodes=[0.0],
-        psi_prime=lambda x: (1.0 - x * x) * np.exp(-x * x / 2.0),
-        psi_second=lambda x: (x ** 3 - 3.0 * x) * np.exp(-x * x / 2.0))
+    # the Jacobian is Richardson differences of the Richardson gradient: the
+    # largest error seen is 1.4e-6 relative to max(|p'|, 1), so 1e-5 leaves
+    # a margin of 7
+    field = field_from_wavefunction(psi_level1, nodes=[0.0])
     assert field.derivative_kind == "numeric-central-difference"
-    assert field.jacobian(1.5) == pytest.approx(qho_field(1).jacobian(1.5), rel=1e-12)
-    # p = -i hbar psi'/psi with no differencing: the largest error seen is
-    # 1.6e-16 relative to max(|p|, 1), so 1e-15 leaves a margin of 6
-    expected = qho_field(1).value(WAVEFUNCTION_POINTS.astype(complex))
-    err = np.abs(field.value(WAVEFUNCTION_POINTS) - expected) / np.maximum(np.abs(expected), 1.0)
-    assert err.max() <= 1e-15, err.max()
+    expected = qho_field(1).jacobian(WAVEFUNCTION_POINTS.astype(complex))
+    err = np.abs(field.jacobian(WAVEFUNCTION_POINTS) - expected) / np.maximum(np.abs(expected), 1.0)
+    assert err.max() <= 1e-5, err.max()
 
 
 def test_wavefunction_field_nodes_become_axis_location_pairs():
@@ -584,7 +579,8 @@ def test_reconstruction_round_trip_recovers_field():
     field = qho_field(1)
     path = np.linspace(0.5, 4.0, 160)
     samples = reconstruct_wavefunction(field, path)
-    rebuilt = field_from_wavefunction(wavefunction_interpolant(samples), nodes=[0.0])
+    spline = CubicSpline(samples.path.real, samples.values)
+    rebuilt = field_from_wavefunction(lambda x: spline(x.real), nodes=[0.0])
     xs = path[8:-8]
     a = field.value(xs.astype(complex))
     b = rebuilt.value(xs)

@@ -9,7 +9,6 @@ from momflow import (
     SpinningPairParams,
     bound_energy,
     component_product,
-    coulomb_interaction,
     coupled_acceleration_residual,
     delta_e,
     force_norm_invariant,
@@ -203,10 +202,6 @@ def test_bound_energy_classical_toggle_drops_split_term():
 def test_bound_energy_warns_on_real_momenta():
     with pytest.warns(UserWarning):
         bound_energy(1.0 + 0j, 2j, 0.0, 0.0, 0.0)
-
-
-def test_coulomb_interaction_value():
-    assert coulomb_interaction([0.0, 0.0, 0.0], [0.0, 3.0, 4.0]) == pytest.approx(0.2)
 
 
 # -- delta_e and the product condition ------------------------------------------------
