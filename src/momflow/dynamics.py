@@ -113,28 +113,30 @@ class IntegratorConfig:
             raise ValueError("abs_tol and rel_tol cannot both be 0")
 
 
+def _force(field, potential, pts, units):
+    """p, J and the force F at (n, d) points, from one checked order-2 jet."""
+    _check_potential(field, potential)
+    p, jac, lap = field._laplacian_at(pts)
+    return p, jac, -potential._gradient_at(pts) + 1j * (units.hbar / (2.0 * units.mass)) * lap
+
+
 def force_at(field: MomentumField, potential: PotentialField, r,
              units: UnitSystem = NATURAL_UNITS):
     """Force F = -grad U + i*(hbar/2m) * (vector Laplacian of p)."""
-    _check_potential(field, potential)
     pts, restore = _as_points(r, field.dimension)
-    field._check(pts)
-    grad_u = potential._gradient_at(pts)
-    lap = field._laplacian_at(pts, check=False)
-    return restore(-grad_u + 1j * (units.hbar / (2.0 * units.mass)) * lap)
+    return restore(_force(field, potential, pts, units)[2])
 
 
 def stationarity_residual(field: MomentumField, potential: PotentialField, r,
                           units: UnitSystem = NATURAL_UNITS):
-    """Residual (p/m . grad) p - F at ``r``.
+    """Residual (p/m . grad) p - F at ``r``, from one pass over the field.
 
     Zero (to tolerance) certifies that following dr = (p/m) dt makes the
     momentum obey the force law along the trajectory, which holds exactly
     for a field paired with its own stationary-state potential.
     """
     pts, restore = _as_points(r, field.dimension)
-    force = force_at(field, potential, pts, units)
-    p, jac = field._jacobian_at(pts, check=False)
+    p, jac, force = _force(field, potential, pts, units)
     convective = np.einsum("nij,nj->ni", jac, p) / units.mass
     return restore(convective - force)
 

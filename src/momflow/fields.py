@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -86,32 +87,32 @@ def _as_points(r, dimension):
     return arr.reshape(-1, dimension), restore
 
 
-def _richardson(fn, pts, axis, order):
-    """d(fn)/dx_axis (``order`` 1) or d2(fn)/dx_axis^2 (``order`` 2) by first
-    or second central differences with one Richardson level.
+def _richardson(fn, pts, axis, centre=None):
+    """d(fn)/dx_axis by first central differences or, given ``centre`` =
+    fn(pts), d2(fn)/dx_axis^2 by second ones, with one Richardson level.
 
     ``fn`` may return (n,) scalars or (n, d) vectors.
     """
-    h = (_FIRST_STEP if order == 1 else _SECOND_STEP) * (1.0 + np.linalg.norm(pts, axis=1).real)
+    first = centre is None
+    h = (_FIRST_STEP if first else _SECOND_STEP) * (1.0 + np.linalg.norm(pts, axis=1).real)
     shift = np.zeros_like(pts)
-    f0 = np.asarray(fn(pts)) if order == 2 else None
 
     def central(step):
         shift[:, axis] = step
         hi = np.asarray(fn(pts + shift))
         lo = np.asarray(fn(pts - shift))
-        if order == 1:
+        if first:
             diff, denom = hi - lo, 2.0 * step
         else:
-            diff, denom = hi - 2.0 * f0 + lo, step * step
+            diff, denom = hi - 2.0 * centre + lo, step * step
         return diff / (denom[:, None] if hi.ndim == 2 else denom)
 
     return (4.0 * central(h / 2.0) - central(h)) / 3.0
 
 
 def _richardson_gradient(fn, pts):
-    """``_richardson`` of order 1 along every axis, stacked on a new last axis, as complex."""
-    return np.stack([_richardson(fn, pts, j, 1) for j in range(pts.shape[1])],
+    """First-difference ``_richardson`` along each axis, stacked on a new last axis, as complex."""
+    return np.stack([_richardson(fn, pts, j) for j in range(pts.shape[1])],
                     axis=-1).astype(complex, copy=False)
 
 
@@ -125,16 +126,16 @@ class MomentumField:
     value_fn:
         Maps an (n, d) complex position array to (n, d) momenta.
     jacobian_fn, laplacian_fn:
-        Optional closed-form evaluators.  ``jacobian_fn`` returns the pair
-        (p, J): the momenta (shape (n, d)) and J[:, i, j] = d p_i / d x_j
-        (shape (n, d, d)), from one pass over the points, so the energy
-        needs one call into the field.  ``laplacian_fn`` returns the
-        componentwise vector Laplacian (shape (n, d)).  When omitted,
-        Richardson-extrapolated central differences of ``value_fn`` are
-        used and ``derivative_kind`` reports it.
+        Optional closed-form jets, each from one pass over the points:
+        (p, J) and (p, J, lap), with the momenta (n, d), J[:, i, j] =
+        d p_i / d x_j (n, d, d) and the componentwise vector Laplacian
+        (n, d).  Where one is omitted, ``_jet`` adds Richardson-extrapolated
+        central differences of ``value_fn`` to the jet one order lower,
+        and ``derivative_kind`` reports it; with neither, a Laplacian
+        pays for J too (17 ``value_fn`` calls in 2-D, not 10).
     poles:
         (axis, location) pairs marking node hyperplanes x_axis == location
-        where the field blows up.
+        where the field blows up; axis 0..dimension-1, else ValueError.
     holomorphic:
         Closed-form fields accept complex positions; numeric fields
         refuse positions off the real axis with OffAxisEvaluation.
@@ -143,12 +144,13 @@ class MomentumField:
         not trustworthy (grid-derived fields lose accuracy within a few
         spacings of a node).  Scans skip this neighborhood.
 
-    Evaluation returns non-finite values and does not warn: each
-    evaluator runs under one ``np.errstate`` that ignores overflow,
-    invalid values and division by zero, so an entry that overflows, or
-    one on a pole evaluated with the check skipped, comes back as inf or
-    nan.  The evaluators themselves need no errstate of their own, and a
-    caller that holds one (the stepper) may call ``value_fn`` directly.
+    Evaluation returns non-finite values and does not warn: ``_value_at``,
+    ``_jacobian_at`` and ``_laplacian_at`` each check the points and run
+    ``_jet`` under one ``np.errstate`` that ignores overflow, invalid
+    values and division by zero, so an entry that overflows, or one on a
+    pole evaluated with the check skipped, comes back as inf or nan.  A
+    caller that holds such an errstate (the stepper, a product field's
+    jet) calls ``value_fn`` or ``_jet`` directly.
     """
 
     def __init__(self, dimension, value_fn, *, jacobian_fn=None, laplacian_fn=None,
@@ -165,6 +167,8 @@ class MomentumField:
         self.derivative_kind = derivative_kind or (
             "numeric-central-difference" if numeric else "closed-form")
         self.poles = tuple((int(axis), float(loc)) for axis, loc in poles)
+        if any(not 0 <= axis < self.dimension for axis, _loc in self.poles):
+            raise ValueError(f"pole axes must lie in 0..{self.dimension - 1}, got {self.poles}")
         self.holomorphic = bool(holomorphic)
         self.tolerance = tolerance
         self.pole_margin = max(float(pole_margin), 10.0 * tolerance.node_guard)
@@ -198,33 +202,39 @@ class MomentumField:
                     f"position {worst} lies within node_guard="
                     f"{self.tolerance.node_guard:g} of a field pole")
 
-    def _value_at(self, pts, check=True):
+    def _jet(self, pts, order):
+        """(p,), (p, J) or (p, J, lap) at (n, d) points for ``order`` 0, 1 or 2,
+        unchecked and under the caller's errstate; the second differences
+        of the fallback are taken about the lower jet's p."""
+        if order == 0:
+            return (np.asarray(self._value_fn(pts), dtype=complex),)
+        fn = self._jacobian_fn if order == 1 else self._laplacian_fn
+        if fn is not None:
+            return tuple(np.asarray(part, dtype=complex) for part in fn(pts))
+        lower = self._jet(pts, order - 1)
+        if order == 1:
+            return (*lower, _richardson_gradient(self._value_fn, pts))
+        lap = np.zeros(pts.shape, dtype=complex)
+        for j in range(pts.shape[1]):
+            lap += _richardson(self._value_fn, pts, j, centre=lower[0])
+        return (*lower, lap)
+
+    def _checked_jet(self, pts, order, check):
         if check:
             self._check(pts)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return np.asarray(self._value_fn(pts), dtype=complex)
+            return self._jet(pts, order)
+
+    def _value_at(self, pts, check=True):
+        return self._checked_jet(pts, 0, check)[0]
 
     def _jacobian_at(self, pts, check=True):
         """(p, J) at (n, d) points: the momenta and J[:, i, j] = d p_i / d x_j."""
-        if check:
-            self._check(pts)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            if self._jacobian_fn is not None:
-                p, jac = self._jacobian_fn(pts)
-                return np.asarray(p, dtype=complex), np.asarray(jac, dtype=complex)
-            return (np.asarray(self._value_fn(pts), dtype=complex),
-                    _richardson_gradient(self._value_fn, pts))
+        return self._checked_jet(pts, 1, check)
 
     def _laplacian_at(self, pts, check=True):
-        if check:
-            self._check(pts)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            if self._laplacian_fn is not None:
-                return np.asarray(self._laplacian_fn(pts), dtype=complex)
-            out = np.zeros(pts.shape, dtype=complex)
-            for j in range(pts.shape[1]):
-                out += _richardson(self._value_fn, pts, j, 2)
-            return out
+        """(p, J, lap) at (n, d) points: ``_jacobian_at``'s pair and the vector Laplacian."""
+        return self._checked_jet(pts, 2, check)
 
     # -- public API ----------------------------------------------------------
 
@@ -244,21 +254,18 @@ class MomentumField:
 
     def vector_laplacian(self, r):
         pts, restore = _as_points(r, self.dimension)
-        return restore(self._laplacian_at(pts))
+        return restore(self._laplacian_at(pts)[2])
 
     def curl(self, r):
         """Curl of p; scalar in 2-D, vector in 3-D."""
         if self.dimension < 2:
             raise DimensionTooLow("curl needs at least two dimensions")
         pts, restore = _as_points(r, self.dimension)
-        _p, jac = self._jacobian_at(pts)
+        jac = self._jacobian_at(pts)[1]
         if self.dimension == 2:
             return restore(jac[:, 1, 0] - jac[:, 0, 1])
-        return restore(np.stack([
-            jac[:, 2, 1] - jac[:, 1, 2],
-            jac[:, 0, 2] - jac[:, 2, 0],
-            jac[:, 1, 0] - jac[:, 0, 1],
-        ], axis=1))
+        rows, cols = [2, 0, 1], [1, 2, 0]  # curl_k = J[rows[k], cols[k]] - J[cols[k], rows[k]]
+        return restore(jac[:, rows, cols] - jac[:, cols, rows])
 
 
 # -- oscillator eigenstate fields ---------------------------------------------
@@ -339,9 +346,10 @@ def qho_field(level: int, units: UnitSystem = NATURAL_UNITS,
         p'' = 2 c2 p p' + 2 c1 x
 
     with c2 = -i/hbar, c1 = -i*hbar a**2 and c0 = i*hbar (2n+1) a.  The
-    field's ``jacobian_fn`` returns (p, p'), and its ``laplacian_fn`` p'',
-    from one pass of the kernel.  The pole list holds the zeros of H_n.
-    Levels above 10 are not tabulated and raise UnsupportedLevel.
+    field's ``jacobian_fn`` returns (p, p'), and its ``laplacian_fn``
+    (p, p', p''), each from one pass of the kernel.  The pole list holds
+    the zeros of H_n.  Levels above 10 are not tabulated and raise
+    UnsupportedLevel.
     """
     if level < 0 or level != int(level):
         raise ValueError("level must be a non-negative integer")
@@ -397,7 +405,7 @@ def qho_field(level: int, units: UnitSystem = NATURAL_UNITS,
     def value(pts):
         return momentum(pts[:, 0])[:, None]
 
-    def jacobian(pts):
+    def jet(pts, order):
         x = pts[:, 0]
         p = momentum(x)
         jac = p * p
@@ -406,14 +414,12 @@ def qho_field(level: int, units: UnitSystem = NATURAL_UNITS,
         scratch *= c1
         jac += scratch
         jac += c0
-        return p[:, None], jac.reshape(-1, 1, 1)
-
-    def laplacian(pts):
-        p, jac = jacobian(pts)
-        return 2.0 * c2 * p * jac[:, 0] + 2.0 * c1 * pts
+        pair = p[:, None], jac.reshape(-1, 1, 1)
+        return pair if order == 1 else (*pair, 2.0 * c2 * pair[0] * jac[:, None] + 2.0 * c1 * pts)
 
     poles = tuple((0, root / sqrt_a) for root in _hermite_roots(level))
-    return MomentumField(1, value, jacobian_fn=jacobian, laplacian_fn=laplacian,
+    return MomentumField(1, value, jacobian_fn=partial(jet, order=1),
+                         laplacian_fn=partial(jet, order=2),
                          derivative_kind="closed-form", poles=poles,
                          holomorphic=True, tolerance=tolerance)
 
@@ -431,12 +437,8 @@ def field_from_wavefunction(psi, nodes=(), units: UnitSystem = NATURAL_UNITS,
     """
     hbar = units.hbar
 
-    if dimension == 1:
-        def psi_at(pts):
-            return np.asarray(psi(pts[:, 0]), dtype=complex)
-    else:
-        def psi_at(pts):
-            return np.asarray(psi(pts), dtype=complex)
+    def psi_at(pts):
+        return np.asarray(psi(pts[:, 0] if dimension == 1 else pts), dtype=complex)
 
     def value(pts):
         return -1j * hbar * (_richardson_gradient(psi_at, pts) / psi_at(pts)[:, None])
@@ -450,7 +452,8 @@ def product_field(factors, tolerance: TolerancePolicy | None = None) -> Momentum
     """Separable field built from independent 1-D fields, one per axis.
 
     Component k of the product depends only on coordinate k, so the
-    Jacobian is diagonal and the curl vanishes identically.
+    Jacobian is diagonal and the curl vanishes identically.  Its jets
+    stack the factors' ``_jet``s under the product's one errstate.
     """
     factors = list(factors)
     d = len(factors)
@@ -465,25 +468,21 @@ def product_field(factors, tolerance: TolerancePolicy | None = None) -> Momentum
                 for k, f in enumerate(factors)]
         return np.stack(cols, axis=1)
 
-    def jacobian(pts):
+    def jet(pts, order):
         n = pts.shape[0]
-        p = np.empty((n, d), dtype=complex)
-        jac = np.zeros((n, d, d), dtype=complex)
+        p, jac = np.empty((n, d), dtype=complex), np.zeros((n, d, d), dtype=complex)
+        lap = np.empty((n, d), dtype=complex) if order == 2 else None
         for k, f in enumerate(factors):
             col = slice(k, k + 1)
-            p[:, col], jac[:, col, col] = f._jacobian_at(pts[:, col], check=False)
-        return p, jac
+            p[:, col], jac[:, col, col], *rest = f._jet(pts[:, col], order)
+            if rest:
+                lap[:, col] = rest[0]
+        return (p, jac, lap)[:order + 1]
 
-    def laplacian(pts):
-        cols = [f._laplacian_at(pts[:, k].reshape(-1, 1), check=False)[:, 0]
-                for k, f in enumerate(factors)]
-        return np.stack(cols, axis=1)
-
-    poles = []
-    for k, f in enumerate(factors):
-        poles.extend((k, loc) for _axis, loc in f.poles)
+    poles = [(k, loc) for k, f in enumerate(factors) for _axis, loc in f.poles]
     closed = all(f.derivative_kind == "closed-form" for f in factors)
-    return MomentumField(d, value, jacobian_fn=jacobian, laplacian_fn=laplacian,
+    return MomentumField(d, value, jacobian_fn=partial(jet, order=1),
+                         laplacian_fn=partial(jet, order=2),
                          derivative_kind="closed-form" if closed else "numeric-central-difference",
                          poles=poles, holomorphic=all(f.holomorphic for f in factors),
                          tolerance=tol)
@@ -518,7 +517,6 @@ class PotentialField:
 def harmonic_potential(units: UnitSystem = NATURAL_UNITS) -> PotentialField:
     """U(x) = m*omega**2*x**2/2 with its closed-form gradient."""
     k = units.mass * units.omega ** 2
-
     return PotentialField(lambda pts: 0.5 * k * pts[:, 0] ** 2,
                           lambda pts: k * pts[:, 0:1], dimension=1)
 
@@ -544,7 +542,6 @@ def constant_potential(value: float, dimension: int = 1) -> PotentialField:
 def separable_potential(parts) -> PotentialField:
     """Sum of independent 1-D potentials, one per axis."""
     parts = list(parts)
-    d = len(parts)
 
     def value(pts):
         return sum(p._value_at(pts[:, k].reshape(-1, 1)) for k, p in enumerate(parts))
@@ -553,7 +550,7 @@ def separable_potential(parts) -> PotentialField:
         cols = [p._gradient_at(pts[:, k].reshape(-1, 1))[:, 0] for k, p in enumerate(parts)]
         return np.stack(cols, axis=1)
 
-    return PotentialField(value, gradient, dimension=d)
+    return PotentialField(value, gradient, dimension=len(parts))
 
 
 # -- energy --------------------------------------------------------------------

@@ -15,6 +15,7 @@ characteristic lengths so the Dirichlet truncation is invisible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -186,15 +187,14 @@ def field_from_grid(pair: EigenPair, grid: Grid1D, units: UnitSystem = NATURAL_U
     def value(pts):
         return interp_p(domain(pts))[:, None]
 
-    def jacobian(pts):
+    def jet(pts, order):
         x = domain(pts)
-        return interp_p(x)[:, None], interp_dp(x).reshape(-1, 1, 1)
-
-    def laplacian(pts):
-        return interp_ddp(domain(pts))[:, None]
+        pair = interp_p(x)[:, None], interp_dp(x).reshape(-1, 1, 1)
+        return pair if order == 1 else (*pair, interp_ddp(x)[:, None])
 
     poles = tuple((0, node) for node in _grid_nodes(xs, psi))
-    return MomentumField(1, value, jacobian_fn=jacobian, laplacian_fn=laplacian,
+    return MomentumField(1, value, jacobian_fn=partial(jet, order=1),
+                         laplacian_fn=partial(jet, order=2),
                          derivative_kind="numeric-central-difference",
                          poles=poles, holomorphic=False, tolerance=tolerance,
                          pole_margin=5.0 * h)

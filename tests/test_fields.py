@@ -149,7 +149,7 @@ def test_qho_field_matches_sympy_oracle(level):
         pair_p, pair_jac = field._jacobian_at(pts)
         # (order k, values): the pair's p is checked as well as the value's
         got = ((0, field._value_at(pts)[:, 0]), (0, pair_p[:, 0]), (1, pair_jac[:, 0, 0]),
-               (2, field._laplacian_at(pts)[:, 0]))
+               (2, field._laplacian_at(pts)[2][:, 0]))
         for k, err in oracle_errors(level, units, pts, got):
             assert err.max() <= ORACLE_REL_TOL, (units, k, err.max())
 
@@ -266,6 +266,31 @@ def test_wavefunction_field_nodes_become_axis_location_pairs():
     poles = field_from_wavefunction(psi_level1, nodes=[1, np.float64(2.0), (0, 3.0)]).poles
     assert poles == ((0, 1.0), (0, 2.0), (0, 3.0))
     assert all(type(axis) is int and type(loc) is float for axis, loc in poles)
+
+
+def test_a_pole_axis_outside_the_field_is_refused():
+    # axis 2 does not exist in 2-D, and axis -1 would read the last axis
+    with pytest.raises(ValueError, match="pole axes"):
+        field_from_wavefunction(lambda pts: pts[:, 0], nodes=[(2, 0.0)], dimension=2)
+    with pytest.raises(ValueError, match="pole axes"):
+        MomentumField(1, qho_field(1)._value_fn, poles=[(-1, 0.3)])
+
+
+def test_a_closed_and_numeric_product_matches_its_factors_bit_for_bit():
+    # Each axis of the product is its factor's own jet: the closed-form
+    # oscillator on axis 0 and Richardson differences of a Gaussian on
+    # axis 1.  One numeric factor makes the product numeric.
+    closed = qho_field(2)
+    numeric = field_from_wavefunction(lambda x: np.exp(-0.5 * x * x))
+    field = product_field([closed, numeric])
+    assert field.derivative_kind == "numeric-central-difference"
+    pts = np.stack([WAVEFUNCTION_POINTS, np.linspace(-3.0, 2.0, WAVEFUNCTION_POINTS.size)],
+                   axis=1).astype(complex)
+    jac, lap = field.jacobian(pts), field.vector_laplacian(pts)
+    assert np.all(jac[:, 0, 1] == 0) and np.all(jac[:, 1, 0] == 0)
+    for k, factor in enumerate((closed, numeric)):
+        assert np.array_equal(jac[:, k, k], factor.jacobian(pts[:, k]))
+        assert np.array_equal(lap[:, k], factor.vector_laplacian(pts[:, k]))
 
 
 def test_two_dimensional_wavefunction_field_matches_the_product_field():
@@ -442,8 +467,9 @@ def test_energy_scan_blames_a_bad_sample_count_not_the_region(samples):
 
 
 def test_energy_and_stationarity_make_one_field_call():
-    # p comes with its Jacobian from one kernel pass, so none reads value:
-    # the scan reports the momenta its energies were computed from
+    # p comes with its Jacobian, and with its Laplacian too where the force
+    # law needs it, from one kernel pass, so none reads value: the scan
+    # reports the momenta its energies were computed from
     field, pot = qho_field(2), harmonic_potential()
     calls = {}
 
@@ -455,17 +481,39 @@ def test_energy_and_stationarity_make_one_field_call():
 
     field._value_fn = spy("value", field._value_fn)
     field._jacobian_fn = spy("jacobian", field._jacobian_fn)
+    field._laplacian_fn = spy("laplacian", field._laplacian_fn)
     xs = np.linspace(0.3, 2.5, 7).astype(complex)
     evaluations = {
-        "energy_at": lambda: energy_at(field, pot, xs),
-        "stationarity_residual": lambda: stationarity_residual(field, pot, xs),
-        "energy_constancy_scan": lambda: energy_constancy_scan(field, pot, (0.3, 2.5), samples=7),
+        "energy_at": (lambda: energy_at(field, pot, xs), "jacobian"),
+        "force_at": (lambda: force_at(field, pot, xs), "laplacian"),
+        "stationarity_residual": (lambda: stationarity_residual(field, pot, xs), "laplacian"),
+        "energy_constancy_scan": (
+            lambda: energy_constancy_scan(field, pot, (0.3, 2.5), samples=7), "jacobian"),
     }
-    for name, evaluate in evaluations.items():
+    for name, (evaluate, evaluator) in evaluations.items():
         calls.clear()
         result = evaluate()
-        assert calls == {"jacobian": 1}, name
+        assert calls == {evaluator: 1}, name
     assert np.array_equal(result.momenta, field.value(result.points))  # the scan's
+
+
+@pytest.mark.parametrize("evaluate", [energy_at, force_at, stationarity_residual],
+                         ids=["energy_at", "force_at", "stationarity_residual"])
+def test_a_product_field_evaluation_enters_one_errstate(monkeypatch, evaluate):
+    # The product's evaluator holds the one errstate and composes its
+    # factors' jets under it, which enter none of their own.
+    entries = []
+
+    class CountingErrstate(np.errstate):
+        def __enter__(self):
+            entries.append(self)
+            return super().__enter__()
+
+    monkeypatch.setattr(np, "errstate", CountingErrstate)
+    pts = np.array([[0.7, -1.1, 1.9], [1.3, 0.4, 0.6 + 0.2j]])
+    result = evaluate(_FIELD_3D, _POT_3D, pts)
+    assert result.shape[0] == 2 and np.all(np.isfinite(result))
+    assert len(entries) == 1
 
 
 ALLOC_POINTS = 10_000
