@@ -13,6 +13,8 @@ submodule, is imported the first time it is used (PEP 562).
 
 __version__ = "0.1.0"
 
+# The package's public names, by the submodule that defines them; each of
+# those submodules takes its __all__ from its row here.
 _EXPORTS = {
     "core": ("DEFAULT_TOLERANCE", "NATURAL_UNITS", "SeedSpec", "TolerancePolicy", "UnitSystem",
              "mix_seed", "substream_rng"),

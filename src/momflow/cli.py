@@ -35,17 +35,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, reports
-from .core import NATURAL_UNITS, SeedSpec, UnitSystem
+from .core import SeedSpec, UnitSystem
 from .errors import MomflowError, TrajectoryNearSingularity
-
-SCENARIOS = ("field-scan", "evolve", "ensemble", "reconstruct", "twobody", "oracle")
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 1
@@ -105,6 +103,8 @@ _number = _check(lambda v: _is_number(v) and abs(v) <= sys.float_info.max,
                  "a finite number", float)
 _positive = _check(lambda v: _is_number(v) and 0 < v <= sys.float_info.max,
                    "a positive finite number", float)
+_tolerance = _check(lambda v: _is_number(v) and 0 <= v <= sys.float_info.max,
+                    "a non-negative finite number", float)
 _string = _check(lambda v: isinstance(v, str), "a string")
 _boolean = _check(lambda v: isinstance(v, bool), "true or false")
 
@@ -160,115 +160,6 @@ _POTENTIAL = _kinds({
 })
 _PHYSICS = {"field": (_FIELD, {}), "potential": (_POTENTIAL, {})}
 _STEPPING = {"scheme": (_choice("rk4", "rkf45"), "rk4"), "dt": (_positive, 1e-3)}
-
-_TABLES = {
-    "field-scan": _block({
-        **_PHYSICS, "region": (_pair, [0.1, 5.0]), "samples": (_integer(2), 1000),
-        "tol": (_number, 1e-9),
-    }),
-    "evolve": _block({
-        **_PHYSICS, "x0": (_complex, 1.0), "t_end": (_positive, _REQUIRED), **_STEPPING,
-        "max_displacement_tol": (_number, None),
-    }),
-    "ensemble": _block({
-        **_PHYSICS, "count": (_integer(), 1000), "region": (_pair, _REQUIRED),
-        "distribution": (_kinds({"uniform": {}, "gaussian": {"mean": (_number, 0.0),
-                                                             "sigma": (_positive, 1.0)}}), {}),
-        "seed": (_integer(), 0), "t_end": (_positive, 5.0), **_STEPPING,
-        "dump_trajectories": (_boolean, False), "bins": (_integer(1), 40),
-        "histogram_times": (_list(_number, 0, math.inf, "a list of numbers"),
-                            lambda p: [p["t_end"]]),
-        "born_reference": (_FIELD, None),
-    }),
-    "reconstruct": _block({
-        "field": (_FIELD, {}),
-        "path": (_block({"start": (_number, 0.5), "stop": (_number, 4.0),
-                         "nodes": (_integer(2), 36)}), {}),
-        "amplitude": (_complex, 1.0),
-    }),
-    "twobody": _kinds({
-        "spinning": {
-            "tol": (_number, 1e-6), "radius": (_number, 1.0), "gamma": (_number, 1.0),
-            "mass": (_number, 1.0), "p1_0": (_pair, [0.0, 0.0]), "p2_0": (_pair, [0.0, 0.0]),
-            "dt": (_number, 1e-3), "samples": (_integer(1), 1000),
-            "closed_form_derivatives": (_boolean, True),
-        },
-        "rotation": {
-            "tol": (_number, 1e-6), "rate": (_number, 1.0),
-            "amplitudes": (_list(_number, 1, 3, "one to three numbers"), [1.0, 1.0, 1.0]),
-            "t_end": (_number, 1.0), "samples": (_integer(1), 200),
-        },
-    }),
-    "oracle": _block({
-        "potential": (_POTENTIAL, {}), "x_min": (_number, -8.0), "x_max": (_number, 8.0),
-        "points": (_integer(), 2000), "states": (_integer(), 3),
-        "field_check": (_boolean, False), "check_lo": (_number, -2.0),
-        "check_hi": (_number, 2.0), "check_tol": (_number, 1e-4),
-    }),
-}
-
-_TOP = {
-    "scenario": (_choice(*SCENARIOS), _REQUIRED),
-    "units": (_block({"hbar": (_number, 1.0), "mass": (_number, 1.0),
-                      "omega": (_number, 1.0)}), {}),
-    "out_dir": (_string, "."),
-    "formats": (_list(_choice("csv", "json"), 0, math.inf, "a list of formats"), ["csv", "json"]),
-    "svg": (_boolean, False),
-}
-
-
-@dataclass
-class RunConfig:
-    """Resolved run description: scenario, units, outputs, parameters."""
-
-    scenario: str
-    units: UnitSystem = NATURAL_UNITS
-    out_dir: str = "."
-    formats: tuple = ("csv", "json")
-    svg: bool = False
-    params: dict = dataclass_field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "units": {"hbar": self.units.hbar, "mass": self.units.mass,
-                      "omega": self.units.omega},
-            "out_dir": self.out_dir,
-            "formats": list(self.formats),
-            "svg": self.svg,
-            self.scenario.replace("-", "_"): dict(self.params),
-        }
-
-    @property
-    def config_hash(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-
-def _top_level(data) -> RunConfig:
-    """``data``'s top level resolved; its scenario block is kept unresolved in ``params``."""
-    if not isinstance(data, dict):
-        raise ConfigError("config: expected a JSON object")
-    scenario = _choice(*SCENARIOS)(data.get("scenario"), "config.scenario")
-    key = scenario.replace("-", "_")
-    top = _resolve({**_TOP, key: (_check(lambda v: isinstance(v, dict), "an object"), {})},
-                   data, "config")
-    try:
-        units = UnitSystem(**top["units"])
-    except ValueError as exc:
-        raise ConfigError(f"config.units: {exc}") from exc
-    return RunConfig(scenario=scenario, units=units, out_dir=top["out_dir"],
-                     formats=tuple(top["formats"]), svg=top["svg"], params=top[key])
-
-
-def _resolve_block(cfg: RunConfig, block) -> RunConfig:
-    return replace(cfg, params=_TABLES[cfg.scenario](block, cfg.scenario.replace("-", "_")))
-
-
-def config_from_dict(data) -> RunConfig:
-    """Resolve a config document against the tables; raises ConfigError."""
-    cfg = _top_level(data)
-    return _resolve_block(cfg, cfg.params)
 
 
 def _potential(block, units):
@@ -376,8 +267,9 @@ def _run_ensemble(cfg: RunConfig, meta: dict) -> tuple[int, dict, dict]:
     meta = {**meta, "seed": spec.seed.master_seed}
     files = {}
     summary["histograms"] = []
-    for t in p["histogram_times"]:
-        hist = density_histogram(result, t, p["bins"])
+    # each time snaps to its nearest snapshot, and each snapshot is histogrammed once
+    for s in dict.fromkeys(result.snapshot_index(t) for t in p["histogram_times"]):
+        hist = density_histogram(result, result.times[s], p["bins"])
         entry = {
             "t": hist.time,
             "off_axis_count": hist.off_axis_count,
@@ -509,14 +401,124 @@ def _run_oracle(cfg: RunConfig, meta: dict) -> tuple[int, dict, dict]:
     return _EXIT_OK, summary, files
 
 
-_RUNNERS = {
-    "field-scan": _run_field_scan,
-    "evolve": _run_evolve,
-    "ensemble": _run_ensemble,
-    "reconstruct": _run_reconstruct,
-    "twobody": _run_twobody,
-    "oracle": _run_oracle,
+# -- scenario registry ----------------------------------------------------------
+# Each scenario's block check, against its table of keys, and its runner.
+
+_SCENARIOS = {
+    "field-scan": (_block({
+        **_PHYSICS, "region": (_pair, [0.1, 5.0]), "samples": (_integer(2), 1000),
+        "tol": (_tolerance, 1e-9),
+    }), _run_field_scan),
+    "evolve": (_block({
+        **_PHYSICS, "x0": (_complex, 1.0), "t_end": (_positive, _REQUIRED), **_STEPPING,
+        "max_displacement_tol": (_tolerance, None),
+    }), _run_evolve),
+    "ensemble": (_block({
+        **_PHYSICS, "count": (_integer(), 1000), "region": (_pair, _REQUIRED),
+        "distribution": (_kinds({"uniform": {}, "gaussian": {"mean": (_number, 0.0),
+                                                             "sigma": (_positive, 1.0)}}), {}),
+        "seed": (_integer(), 0), "t_end": (_positive, 5.0), **_STEPPING,
+        "dump_trajectories": (_boolean, False), "bins": (_integer(1), 40),
+        "histogram_times": (_list(_number, 0, math.inf, "a list of numbers"),
+                            lambda p: [p["t_end"]]),
+        "born_reference": (_FIELD, None),
+    }), _run_ensemble),
+    "reconstruct": (_block({
+        "field": (_FIELD, {}),
+        "path": (_block({"start": (_number, 0.5), "stop": (_number, 4.0),
+                         "nodes": (_integer(2), 36)}), {}),
+        "amplitude": (_complex, 1.0),
+    }), _run_reconstruct),
+    "twobody": (_kinds({
+        "spinning": {
+            "tol": (_tolerance, 1e-6), "radius": (_number, 1.0), "gamma": (_number, 1.0),
+            "mass": (_number, 1.0), "p1_0": (_pair, [0.0, 0.0]), "p2_0": (_pair, [0.0, 0.0]),
+            "dt": (_number, 1e-3), "samples": (_integer(1), 1000),
+            "closed_form_derivatives": (_boolean, True),
+        },
+        "rotation": {
+            "tol": (_tolerance, 1e-6), "rate": (_number, 1.0),
+            "amplitudes": (_list(_number, 1, 3, "one to three numbers"), [1.0, 1.0, 1.0]),
+            "t_end": (_number, 1.0), "samples": (_integer(1), 200),
+        },
+    }), _run_twobody),
+    "oracle": (_block({
+        "potential": (_POTENTIAL, {}), "x_min": (_number, -8.0), "x_max": (_number, 8.0),
+        "points": (_integer(), 2000), "states": (_integer(), 3),
+        "field_check": (_boolean, False), "check_lo": (_number, -2.0),
+        "check_hi": (_number, 2.0), "check_tol": (_tolerance, 1e-4),
+    }), _run_oracle),
 }
+SCENARIOS = tuple(_SCENARIOS)
+
+_TOP = {
+    "scenario": (_choice(*SCENARIOS), _REQUIRED),
+    "units": (_block({"hbar": (_number, 1.0), "mass": (_number, 1.0),
+                      "omega": (_number, 1.0)}), {}),
+    "out_dir": (_string, "."),
+    "formats": (_list(_choice("csv", "json"), 0, math.inf, "a list of formats"), ["csv", "json"]),
+    "svg": (_boolean, False),
+}
+
+
+def _block_key(scenario: str) -> str:
+    """The config key of ``scenario``'s block: field-scan's is field_scan."""
+    return scenario.replace("-", "_")
+
+
+@dataclass
+class RunConfig:
+    """Resolved run description: scenario, units, outputs, parameters."""
+
+    scenario: str
+    units: UnitSystem
+    out_dir: str
+    formats: tuple
+    svg: bool
+    params: dict
+
+    def to_dict(self) -> dict:
+        return {
+            "scenario": self.scenario,
+            "units": {"hbar": self.units.hbar, "mass": self.units.mass,
+                      "omega": self.units.omega},
+            "out_dir": self.out_dir,
+            "formats": list(self.formats),
+            "svg": self.svg,
+            _block_key(self.scenario): dict(self.params),
+        }
+
+    @property
+    def config_hash(self) -> str:
+        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+def _top_level(data) -> RunConfig:
+    """``data``'s top level resolved; its scenario block is kept unresolved in ``params``."""
+    if not isinstance(data, dict):
+        raise ConfigError("config: expected a JSON object")
+    scenario = _choice(*SCENARIOS)(data.get("scenario"), "config.scenario")
+    key = _block_key(scenario)
+    top = _resolve({**_TOP, key: (_check(lambda v: isinstance(v, dict), "an object"), {})},
+                   data, "config")
+    try:
+        units = UnitSystem(**top["units"])
+    except ValueError as exc:
+        raise ConfigError(f"config.units: {exc}") from exc
+    return RunConfig(scenario=scenario, units=units, out_dir=top["out_dir"],
+                     formats=tuple(top["formats"]), svg=top["svg"], params=top[key])
+
+
+def _resolve_block(cfg: RunConfig, block) -> RunConfig:
+    check, _ = _SCENARIOS[cfg.scenario]
+    return replace(cfg, params=check(block, _block_key(cfg.scenario)))
+
+
+def config_from_dict(data) -> RunConfig:
+    """Resolve a config document against the tables; raises ConfigError."""
+    cfg = _top_level(data)
+    return _resolve_block(cfg, cfg.params)
 
 
 def _write_summary(scenario: str, cfg: RunConfig | None, out_dir, details: dict) -> bool:
@@ -546,13 +548,13 @@ def _execute(cfg: RunConfig) -> tuple[int, dict]:
     out = Path(cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        code, details, files = _RUNNERS[cfg.scenario](
-            cfg, reports.standard_metadata(config_hash=cfg.config_hash))
+        _, runner = _SCENARIOS[cfg.scenario]
+        code, details, files = runner(cfg, reports.standard_metadata(config_hash=cfg.config_hash))
         written = sorted(name for name in files if Path(name).suffix in enabled)
         for name in written:
             files[name](out / name)
     except (ConfigError, ValueError) as exc:
-        where = "" if isinstance(exc, ConfigError) else f"{cfg.scenario.replace('-', '_')}: "
+        where = "" if isinstance(exc, ConfigError) else f"{_block_key(cfg.scenario)}: "
         return _EXIT_CONFIG, {"status": "config-error", "error": f"{where}{exc}"}
     except (MomflowError, OSError) as exc:
         return _EXIT_CONFIG, {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
@@ -569,7 +571,7 @@ def main(argv=None) -> int:
                     "two-electron invariants, and the grid eigensolver.")
     parser.add_argument("--version", action="version", version=f"momflow {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in SCENARIOS:
+    for name in _SCENARIOS:
         s = sub.add_parser(name, help=f"run the {name} scenario")
         s.add_argument("--config", required=True, help="path to the JSON run config")
         s.add_argument("--seed", type=int, default=None, help="override the ensemble master seed")

@@ -13,17 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import EmptyRegion
 
-__all__ = [
-    "UnitSystem",
-    "TolerancePolicy",
-    "SeedSpec",
-    "NATURAL_UNITS",
-    "DEFAULT_TOLERANCE",
-    "mix_seed",
-    "substream_rng",
-]
+__all__ = _EXPORTS["core"]
 
 _MASK64 = (1 << 64) - 1
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import DEFAULT_TOLERANCE, NATURAL_UNITS, TolerancePolicy, UnitSystem
 from .errors import (
     BranchAmbiguity,
@@ -35,15 +36,7 @@ from .errors import (
 )
 from .fields import MomentumField, PotentialField, _as_points, _axis_samples, _check_potential
 
-__all__ = [
-    "Trajectory",
-    "IntegratorConfig",
-    "force_at",
-    "stationarity_residual",
-    "evolve",
-    "qho_analytic_position",
-    "classify_fixed_points",
-]
+__all__ = _EXPORTS["dynamics"]
 
 
 class Trajectory:

@@ -40,6 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import (DEFAULT_TOLERANCE, NATURAL_UNITS, SeedSpec, TolerancePolicy, UnitSystem,
                    substream_normals, substream_uniforms)
 from .dynamics import COMPLETED, REASON_LABELS, IntegratorConfig, _integrate
@@ -47,19 +48,7 @@ from .errors import RegionOverlapsSingularity, TimeOutOfRange, ZeroMass
 from .fields import (MomentumField, PotentialField, _GL_NODES, _GL_WEIGHTS, _check_potential,
                      _energy)
 
-__all__ = [
-    "Distribution",
-    "uniform_distribution",
-    "gaussian_distribution",
-    "EnsembleSpec",
-    "EnsembleResult",
-    "DensityHistogram",
-    "DensityComparison",
-    "sample_initial",
-    "evolve_ensemble",
-    "density_histogram",
-    "compare_density_to_born",
-]
+__all__ = _EXPORTS["ensemble"]
 
 _OFF_AXIS_CUT = 0.01
 # Members are stepped and their energies recorded in blocks of at most this

@@ -24,6 +24,7 @@ from functools import partial
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import DEFAULT_TOLERANCE, NATURAL_UNITS, TolerancePolicy, UnitSystem
 from .errors import (
     ConvergenceFailure,
@@ -35,24 +36,7 @@ from .errors import (
     UnsupportedLevel,
 )
 
-__all__ = [
-    "MomentumField",
-    "PotentialField",
-    "WavefunctionSamples",
-    "ScanReport",
-    "qho_field",
-    "field_from_wavefunction",
-    "product_field",
-    "harmonic_potential",
-    "polynomial_potential",
-    "zero_potential",
-    "constant_potential",
-    "separable_potential",
-    "energy_at",
-    "energy_constancy_scan",
-    "curl_residual",
-    "reconstruct_wavefunction",
-]
+__all__ = _EXPORTS["fields"]
 
 # Central-difference steps, relative to (1 + |r|).  Second differences
 # divide by h**2, so they need a larger step to stay above the eps/h**2

@@ -19,11 +19,12 @@ from functools import partial
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import DEFAULT_TOLERANCE, NATURAL_UNITS, TolerancePolicy, UnitSystem
 from .errors import ConvergenceFailure
 from .fields import MomentumField, PotentialField
 
-__all__ = ["Grid1D", "EigenPair", "solve_schrodinger_1d", "field_from_grid"]
+__all__ = _EXPORTS["gridsolver"]
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import DEFAULT_TOLERANCE, NATURAL_UNITS, TolerancePolicy, UnitSystem
 from .errors import (
     ComponentNearZero,
@@ -40,24 +41,7 @@ from .errors import (
     TooFewSamples,
 )
 
-__all__ = [
-    "MomentumHistory",
-    "SpinningPairParams",
-    "RotationMomentum",
-    "InvariantSeries",
-    "BoundEnergy",
-    "stencil_derivative",
-    "spinning_pair",
-    "spinning_pair_history",
-    "total_momentum_drift",
-    "force_norm_invariant",
-    "coupled_acceleration_residual",
-    "bound_energy",
-    "delta_e",
-    "component_product",
-    "rotation_matrix",
-    "matrix_delta_e",
-]
+__all__ = _EXPORTS["twobody"]
 
 # Five-point stencil weights over 12 (integer parts kept exact so that
 # constant inputs cancel to exactly zero; divide by 12*dt**order at the

@@ -447,6 +447,9 @@ VALID_BLOCKS = {
     {"evolve": {"config.svgs": True}}, {"evolve": {"config.units": {"hbar": -1.0}}},
     {"evolve": {"config.units": {"hbar": "a"}}}, {"evolve": {"config.formats": ["xml"]}},
     {"ensemble": {"config.scenario": "warp"}},
+    {"field-scan": {"tol": -1}}, {"twobody": {"tol": -1e-9}},
+    {"twobody": {"tol": -1, "kind": "rotation"}}, {"oracle": {"check_tol": -1e-4}},
+    {"evolve": {"max_displacement_tol": -1}},
 ])
 def test_bad_integrator_settings_are_config_errors(tmp_path, setting):
     # A "--flag" key is passed on the command line instead of in the block,
@@ -468,6 +471,16 @@ def test_bad_integrator_settings_are_config_errors(tmp_path, setting):
     assert next(iter(bad)) in summary["error"]
     if top:
         assert summary["resolved_config"] is None and summary["config_hash"] is None
+
+
+@pytest.mark.parametrize("scenario, block, key", [
+    ("field-scan", {}, "tol"), ("twobody", {}, "tol"), ("twobody", {"kind": "rotation"}, "tol"),
+    ("oracle", {}, "check_tol"), ("evolve", {"t_end": 1.0}, "max_displacement_tol"),
+])
+def test_a_zero_tolerance_is_legal(scenario, block, key):
+    cfg = config_from_dict({"scenario": scenario,
+                            scenario.replace("-", "_"): {**block, key: 0}})
+    assert cfg.params[key] == 0.0
 
 
 def test_top_level_config_error_summary_goes_to_the_out_flag(tmp_path):
@@ -568,6 +581,18 @@ def test_valid_stepping_and_distribution_keep_their_hash():
     assert cfg.params["distribution"] == {"kind": "gaussian", "mean": 1.0, "sigma": 2.0}
     assert cfg.params["scheme"] == "rkf45"
     assert cfg.config_hash == "65b4a2af87f509f5"
+
+
+def test_each_snapshot_is_histogrammed_once(tmp_path):
+    # 0.05 and 0.0501 snap to the same snapshot; entries keep first-seen order
+    out = tmp_path / "run"
+    path = write_config(tmp_path, {"scenario": "ensemble", "out_dir": str(out), "ensemble": {
+        "count": 10, "region": [0.8, 1.2], "dt": 0.01, "t_end": 0.1,
+        "histogram_times": [0.1, 0.05, 0.0501, 0.1]}})
+    assert main(["ensemble", "--config", str(path)]) == 0
+    summary = read_summary(out)
+    assert [entry["t"] for entry in summary["histograms"]] == [0.1, 0.05]
+    assert summary["files"] == ["histogram_t0.05.csv", "histogram_t0.1.csv"]
 
 
 def test_summary_carries_the_resolved_config_its_hash_covers(tmp_path):
