@@ -690,6 +690,21 @@ def test_cli_import_leaves_scipy_solvers_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_an_oracle_run_loads_no_scipy(tmp_path):
+    # the grid eigensolver is numpy alone; scipy.linalg would add ~30 MB
+    path = write_config(tmp_path, {
+        "scenario": "oracle", "out_dir": str(tmp_path / "run"),
+        "oracle": {"points": 200, "states": 2, "field_check": True}})
+    src = str(Path(momflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import json, sys\nfrom momflow.cli import main\n"
+            f"code = main(['oracle', '--config', {str(path)!r}])\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == [0, []]
+
+
 # -- the process -------------------------------------------------------------------
 # ``python -m momflow.cli`` ends by os._exit once main returns.  Its stdout
 # is a pipe here, which Python buffers by blocks (PYTHONUNBUFFERED is

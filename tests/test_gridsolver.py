@@ -150,3 +150,82 @@ def test_fixed_points_cross_check_against_grid(oscillator_pairs):
                                        momentum_tol=1e-4)
     assert len(closed_roots) == len(grid_roots) == 1
     assert abs(closed_roots[0][0] - grid_roots[0][0]) < 1e-3
+
+
+# -- the tridiagonal eigensolver against scipy's LAPACK one -------------------------
+
+DOUBLE_WELL = polynomial_potential([16.0, 0.0, -8.0, 0.0, 1.0])  # (x**2 - 4)**2
+CONFINING = {"harmonic": harmonic_potential(), "anharmonic": ANHARMONIC,
+             "double well": DOUBLE_WELL}
+
+
+def tridiagonal(potential, grid):
+    """(diagonal, off-diagonal) of the discretized Hamiltonian, natural units."""
+    kin = 1.0 / (2.0 * grid.spacing ** 2)
+    u = np.asarray(potential.value(grid.xs[1:-1].astype(complex))).real
+    return 2.0 * kin + u, np.full(grid.points - 3, -kin)
+
+
+def unit_vectors(pairs):
+    """The interior of each psi as a unit column."""
+    v = np.array([pair.psi[1:-1] for pair in pairs]).T
+    return v / np.linalg.norm(v, axis=0)
+
+
+@pytest.mark.parametrize("name", CONFINING)
+@pytest.mark.parametrize("grid, states", [
+    (Grid1D(-8.0, 8.0, 64), 16), (Grid1D(-5.0, 5.0, 64), 16), (Grid1D(-8.0, 8.0, 257), 8),
+    (Grid1D(-8.0, 8.0, 2000), 6), (Grid1D(-10.0, 10.0, 4000), 4),
+])
+def test_solver_matches_scipy(name, grid, states):
+    from scipy.linalg import eigh_tridiagonal
+
+    potential = CONFINING[name]
+    pairs = solve_schrodinger_1d(potential, grid, states)
+    energies, vectors = eigh_tridiagonal(*tridiagonal(potential, grid), select="i",
+                                         select_range=(0, states))
+    assert np.max(np.abs([p.energy for p in pairs] - energies[:states])) <= 1e-9
+    ours = unit_vectors(pairs)
+    ours *= np.sign(np.sum(ours * vectors[:, :states], axis=0))
+    gaps = np.diff(np.concatenate([[-np.inf], energies]))
+    resolved = np.minimum(gaps[:-1], gaps[1:]) >= 1e-3
+    assert resolved.any()
+    assert np.max(np.abs(ours - vectors[:, :states])[:, resolved]) <= 1e-8
+
+
+def test_near_degenerate_double_well_pairs_are_orthogonal_with_small_residuals():
+    grid = Grid1D(-8.0, 8.0, 3000)
+    pairs = solve_schrodinger_1d(DOUBLE_WELL, grid, 6)
+    assert pairs[1].energy - pairs[0].energy < 1e-4
+    diag, off = tridiagonal(DOUBLE_WELL, grid)
+    v = unit_vectors(pairs)
+    assert np.max(np.abs(v.T @ v - np.eye(6))) <= 1e-10
+    norm = np.max(np.abs(diag) + np.r_[0.0, np.abs(off)] + np.r_[np.abs(off), 0.0])
+    tv = diag[:, None] * v
+    tv[1:] += off[:, None] * v[:-1]
+    tv[:-1] += off[:, None] * v[1:]
+    residuals = np.linalg.norm(tv - v * [p.energy for p in pairs], axis=0)
+    assert np.max(residuals) <= 100 * np.finfo(float).eps * norm
+
+
+@pytest.mark.parametrize("name", CONFINING)
+@pytest.mark.parametrize("grid", [Grid1D(-10.0, 10.0, 4000), Grid1D(-8.0, 8.0, 2000)])
+def test_state_j_reports_j_poles(name, grid):
+    # sign flips of the underflowed tails are no nodes
+    for pair in solve_schrodinger_1d(CONFINING[name], grid, 6):
+        assert len(field_from_grid(pair, grid).poles) == pair.level
+
+
+@pytest.mark.parametrize("potential", [lambda x: 1.0 / x,
+                                       lambda x: np.where(x > 0.5, np.nan, x * x)],
+                         ids=["inf", "nan"])
+def test_a_potential_not_finite_on_the_grid_is_refused(potential):
+    with np.errstate(divide="ignore"), pytest.raises(ValueError, match="not finite on the grid"):
+        solve_schrodinger_1d(potential, Grid1D(-1.0, 1.0, 65), 1)
+
+
+def test_an_infinite_potential_on_the_walls_is_allowed():
+    # the Dirichlet walls carry no unknown, so their potential never enters
+    with np.errstate(divide="ignore"):
+        pairs = solve_schrodinger_1d(lambda x: 1.0 / (1.0 - x * x), Grid1D(-1.0, 1.0, 65), 1)
+    assert np.isfinite(pairs[0].energy)
