@@ -12,12 +12,13 @@ time.
 
 One stepper, ``_integrate``, carries a batch of independent members onto
 a list of sample times with RK4 or with RKF45 under per-member step
-control.  A single trajectory (``evolve``) is a batch of one; ensembles
-(``momflow.ensemble``) use the same stepper.  Trajectories are integrated
-in the complex plane: even a real starting point generally leaves the
-real axis.  Steps that approach a field pole are refused; the member
-retires, and a single trajectory halts with the partial result attached
-to the raised error.
+control; one stage pass runs either scheme from its Butcher tableau in
+``_TABLEAUX``.  A single trajectory (``evolve``) is a batch of one;
+ensembles (``momflow.ensemble``) use the same stepper.  Trajectories are
+integrated in the complex plane: even a real starting point generally
+leaves the real axis.  Steps that approach a field pole are refused; the
+member retires, and a single trajectory halts with the partial result
+attached to the raised error.
 """
 
 from __future__ import annotations
@@ -29,11 +30,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .core import DEFAULT_TOLERANCE, NATURAL_UNITS, TolerancePolicy, UnitSystem
-from .errors import (
-    BranchAmbiguity,
-    StepUnderflow,
-    TrajectoryNearSingularity,
-)
+from .errors import BranchAmbiguity, StepUnderflow, TrajectoryNearSingularity
 from .fields import MomentumField, PotentialField, _as_points, _axis_samples, _check_potential
 
 __all__ = _EXPORTS["dynamics"]
@@ -142,34 +139,48 @@ NEAR_NODE = 1
 STEP_UNDERFLOW = 2
 REASON_LABELS = ("completed", "near-node", "step-underflow")
 
-def _plan(*terms):
-    """A weighted sum's (stage, weight) terms as the pair (first, rest), summed in order."""
-    return terms[0], terms[1:]
+# Butcher tableaux (Hairer, Norsett & Wanner, Solving ODEs I, II.1) as
+# (stages, update, error, divisor).  Each is a sum plan, a tuple of (stage,
+# weight) terms summed in order without the zero entries: ``stages`` one per
+# stage after the first, ``update`` the propagation weights and ``error``,
+# if adaptive, the embedded weights minus them.  With a ``divisor`` the stage
+# vectors are the slopes k, a stage term is k*(weight*h) and the update sum
+# is scaled by h/divisor; without one they are the increments h*k.
+_TABLEAUX = {
+    # classic RK4: b = (1, 2, 2, 1)/6, summed as (2 k2 + k1) + 2 k3 + k4
+    "rk4": ((((0, 0.5),), ((1, 0.5),), ((2, 1.0),)),
+            ((1, 2.0), (0, 1.0), (2, 2.0), (3, 1.0)), (), 6.0),
+    # Fehlberg 4(5), propagating the 4th-order solution
+    "rkf45": (tuple(tuple(enumerate(row)) for row in (
+                  (1 / 4,),
+                  (3 / 32, 9 / 32),
+                  (1932 / 2197, -7200 / 2197, 7296 / 2197),
+                  (439 / 216, -8.0, 3680 / 513, -845 / 4104),
+                  (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
+              )),
+              ((0, 25 / 216), (2, 1408 / 2565), (3, 2197 / 4104), (4, -1 / 5)),
+              ((0, 1 / 360), (2, -128 / 4275), (3, -2197 / 75240), (4, 1 / 50), (5, 2 / 55)),
+              None),
+}
 
 
-# Fehlberg 4(5) tableau as sum plans: the stage coefficients, then the
-# 4th-order propagation weights and the error coefficients, with their
-# exactly-zero entries (k2 in both, k6 in the weights) left out.
-_RKF_A = tuple(_plan(*enumerate(row)) for row in (
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
-))
-_RKF_B4 = _plan((0, 25 / 216), (2, 1408 / 2565), (3, 2197 / 4104), (4, -1 / 5))
-_RKF_ERR = _plan((0, 1 / 360), (2, -128 / 4275), (3, -2197 / 75240), (4, 1 / 50), (5, 2 / 55))
+def _step_count(t0, t1, dt):
+    """The fewest equal steps from t0 to t1 no longer than ``dt``, at least one.
+
+    A step may exceed ``dt`` by 1e-12 of the times' size, more than a grid
+    time k*dt is rounded by, so such a grid takes one step per interval."""
+    return max(1, math.ceil((t1 - t0 - 1e-12 * (abs(t0) + abs(t1))) / dt))
 
 
 def _rk4_schedule(times, dt):
     """(t, h, t_next, k) for each RK4 step over the sample ``times``.
 
-    Consecutive sample times are joined by the fewest equal steps no
-    longer than ``dt``; k > 0 marks the step that lands on times[k].
+    Consecutive sample times are joined by ``_step_count`` equal steps;
+    k > 0 marks the step that lands on times[k].
     """
     for k in range(1, len(times)):
         t0, t1 = times[k - 1], times[k]
-        count = max(1, math.ceil((t1 - t0) / dt * (1.0 - 1e-12)))
+        count = _step_count(t0, t1, dt)
         h = (t1 - t0) / count
         for j in range(count):
             last = j == count - 1
@@ -181,21 +192,15 @@ def _integrate(field: MomentumField, x0, config: IntegratorConfig, times,
     """Step each row of the (n, d) array ``x0`` along dr/dt = p(r)/m.
 
     Every row is a member that starts at times[0] and is carried onto each
-    later sample time.  ``rk4`` moves all members in lock-step, with the
-    steps of ``_rk4_schedule``.  ``rkf45`` gives each member its own step
-    size: acceptance, rejection and underflow are decided per member from
-    its own error estimate, and a step that would pass the member's next
-    sample time is clipped to land on it exactly, while the unclipped
-    proposal carries into the next step.  A member's arithmetic therefore
-    never depends on the other rows.
-
-    The members still stepping form a dense working set: their ids, their
-    states and, under rkf45, their clocks, step proposals, next sample
-    indices and accepted-step counts are arrays aligned row for row, and
-    a member that finishes or retires is compacted out of all of them at
-    once.  A round therefore never gathers or scatters through the ids;
-    only landing on a sample time and retiring write to full-length
-    arrays.
+    later sample time.  One stage pass, ``advance``, forms every stage
+    argument, update and error estimate from the scheme's tableau; the
+    schemes differ only there and in how steps are scheduled and accepted.
+    ``rk4`` moves all members in lock-step, with the steps of
+    ``_rk4_schedule``.  ``rkf45`` gives each member its own step size,
+    accepted, rejected or underflowing by its own error estimate, and
+    clips a step that would pass its next sample time to land on it, the
+    unclipped proposal carrying into the next step.  A member's
+    arithmetic therefore never depends on the other rows.
 
     ``land(k, ids, rows)`` receives the states ``rows`` of members ``ids``
     as they reach times[k]; ``k`` is an int under rk4 and an array aligned
@@ -209,15 +214,14 @@ def _integrate(field: MomentumField, x0, config: IntegratorConfig, times,
     velocity) more than half its distance to the pole, or, under rk4, when
     its update is not finite.  It retires as STEP_UNDERFLOW when its rkf45
     proposal falls below ``dt_min``; a non-finite rkf45 update has a
-    non-finite error estimate, which is rejected until that happens.  The
-    whole run holds one ``np.errstate`` with numpy's overflow, invalid and
-    divide-by-zero warnings off, since those values only ever retire a
-    member, and calls the field's ``value_fn`` directly rather than
-    ``_value_at``, which would enter one per call.  Returns
-    (last, term_time, term_reason, steps): the state each member ended in,
-    the time it retired (nan if it completed), its outcome code, and the
-    most steps any member accepted.  A field that is not holomorphic
-    raises ValueError: a member generally leaves the real axis.
+    non-finite error estimate, rejected until that happens.  The run
+    holds one ``np.errstate`` with overflow, invalid and divide-by-zero
+    warnings off, since those values only retire a member, and calls the
+    field's ``value_fn``, not ``_value_at``, which would enter one per call.
+    Returns (last, term_time, term_reason, steps): the state each member
+    ended in, the time it retired (nan if it completed), its outcome code,
+    and the most steps any member accepted.  A field that is not
+    holomorphic raises ValueError: a member generally leaves the real axis.
     """
     if not field.holomorphic:
         raise ValueError("trajectory evolution needs a field evaluable at complex positions")
@@ -225,6 +229,7 @@ def _integrate(field: MomentumField, x0, config: IntegratorConfig, times,
     value_fn = field._value_fn
     inv_m = 1.0 / units.mass
     node_guard = field.tolerance.node_guard
+    stages, update, error, divisor = _TABLEAUX[config.scheme]
     last = np.array(x0, dtype=complex)
     term_time = np.full(n, np.nan)
     term_reason = np.full(n, COMPLETED, dtype=np.int8)
@@ -240,13 +245,15 @@ def _integrate(field: MomentumField, x0, config: IntegratorConfig, times,
     steps = 0
     # full-length scratch for the guard, used through views of the live count
     speed, bad_buf = np.empty(x.shape), np.empty(n, dtype=bool)
+    # the stage vectors: field outputs for slopes, else h * k in views of hks
+    ks = [None] * (len(stages) + 1)
+    hks = None if divisor else np.empty((len(ks),) + x.shape, dtype=complex)
 
     def rhs(pts):
         p = np.asarray(value_fn(pts), dtype=complex)
         if inv_m != 1.0:
             return p * inv_m
-        # a field that hands back (a view of) its argument would see the
-        # next stage overwrite it
+        # a field returning (a view of) its argument would see the next stage overwrite it
         return p.copy() if np.may_share_memory(p, pts) else p
 
     def drop(gone, t=None, reason=None):
@@ -282,36 +289,45 @@ def _integrate(field: MomentumField, x0, config: IntegratorConfig, times,
         keep = drop(bad, t, NEAR_NODE)
         return k1[keep], keep
 
-    def weighted_sum(out, tmp, plan, ks):
-        (i, c), rest = plan
-        np.multiply(ks[i], c, out=out)
-        for i, c in rest:
-            np.multiply(ks[i], c, out=tmp)
-            out += tmp
+    def weighted_sum(out, tmp, plan, scale=1.0):
+        """``out`` = the plan's sum of ks[i]*(w*scale) in order; a later product 1 adds ks[i]."""
+        i, w = plan[0]
+        np.multiply(ks[i], w * scale, out=out)
+        for i, w in plan[1:]:
+            w *= scale
+            if w == 1.0:
+                out += ks[i]
+            else:
+                np.multiply(ks[i], w, out=tmp)
+                out += tmp
+
+    def advance(k1, h):
+        """One step of ``h`` (a float for slopes, else a complex column) from the
+        slopes ``k1``, into ``acc``; returns |error estimate| if adaptive."""
+        nonlocal arg, acc
+        m = len(x)
+        ks[0] = k1 if divisor else np.multiply(k1, h, out=hks[0, :m])
+        for stage, plan in enumerate(stages, 1):
+            weighted_sum(arg, acc, plan, h if divisor else 1.0)
+            arg += x
+            ks[stage] = rhs(arg) if divisor else np.multiply(rhs(arg), h, out=hks[stage, :m])
+        err = None
+        if error:
+            weighted_sum(acc, arg, error)
+            err = np.abs(acc, out=err_buf[:m])
+        weighted_sum(acc, arg, update)
+        if divisor:
+            acc *= h / divisor
+        acc += x
+        return err
 
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        if config.scheme == "rk4":
+        if not error:
             for t, h, t_next, k in _rk4_schedule(times, config.dt):
                 k1, _ = guarded_k1(t, h)
                 if not ids.size:
                     break
-                np.multiply(k1, 0.5 * h, out=arg)
-                arg += x
-                k2 = rhs(arg)
-                np.multiply(k2, 0.5 * h, out=arg)
-                arg += x
-                k3 = rhs(arg)
-                np.multiply(k3, h, out=arg)
-                arg += x
-                k4 = rhs(arg)
-                # x + (h/6) * (k1 + 2 k2 + 2 k3 + k4), summed in that order
-                np.multiply(k2, 2.0, out=acc)
-                acc += k1
-                np.multiply(k3, 2.0, out=arg)
-                acc += arg
-                acc += k4
-                acc *= h / 6.0
-                acc += x
+                advance(k1, h)
                 flat = acc.view(float)
                 if not np.isfinite(flat).all():
                     finite = np.isfinite(flat.reshape(len(acc), -1)).all(axis=1)
@@ -332,7 +348,6 @@ def _integrate(field: MomentumField, x0, config: IntegratorConfig, times,
             # accepted-step count; drop compacts them with ids and x
             cols[:] = [np.full(n, times[0]), np.full(n, min(config.dt, config.dt_max)),
                        np.ones(n, dtype=np.intp), np.zeros(n, dtype=np.intp)]
-            hks = np.empty((6,) + x.shape, dtype=complex)  # the stage increments h * k
             err_buf, scale_buf = np.empty(x.shape), np.empty(x.shape)
             while ids.size:
                 clock, proposal, nxt, taken = cols
@@ -348,17 +363,8 @@ def _integrate(field: MomentumField, x0, config: IntegratorConfig, times,
                         break
                     clock, proposal, nxt, taken = cols
                     target, room, h = target[keep], room[keep], h[keep]
-                m = ids.size
-                hc = h.astype(complex)[:, None]  # the cast each multiply would make
-                hk = [hks[stage, :m] for stage in range(6)]
-                np.multiply(k1, hc, out=hk[0])
-                for stage, plan in enumerate(_RKF_A, 1):
-                    weighted_sum(arg, acc, plan, hk)
-                    arg += x
-                    np.multiply(rhs(arg), hc, out=hk[stage])
-                weighted_sum(acc, arg, _RKF_ERR, hk)
-                err = np.abs(acc, out=err_buf[:m])
-                scale = np.abs(x, out=scale_buf[:m])
+                err = advance(k1, h.astype(complex)[:, None])  # the cast each multiply makes
+                scale = np.abs(x, out=scale_buf[:ids.size])
                 scale *= config.rel_tol
                 scale += config.abs_tol
                 err /= scale
@@ -368,10 +374,7 @@ def _integrate(field: MomentumField, x0, config: IntegratorConfig, times,
                 for j in range(1, d):
                     ratio = np.maximum(ratio, err[:, j])
                 ok = ratio <= 1.0  # a non-finite estimate is a rejection
-                weighted_sum(acc, arg, _RKF_B4, hk)
-                acc += x
                 x = np.where(ok[:, None], acc, x)
-
                 factor = ratio ** -0.2
                 factor *= 0.9
                 np.fmax(factor, 0.2, out=factor)  # also maps a nan ratio to 0.2
@@ -403,8 +406,8 @@ def evolve(field: MomentumField, potential: PotentialField, x0, config: Integrat
     """Evolve a single particle from ``x0`` under the field's flow.
 
     The particle is a one-member ensemble of the shared stepper.  Every
-    step is kept: rk4 steps on the grid min(k*dt, t_end), rkf45 keeps each
-    accepted step.  Every stored momentum equals field(position) exactly.
+    step is kept: rk4 steps on the grid k*dt ending at t_end, rkf45 keeps
+    each accepted step.  Every stored momentum equals field(position) exactly.
 
     A step that would move the particle more than half its distance to
     the nearest pole, or that starts within twice the node guard, halts
@@ -423,8 +426,8 @@ def evolve(field: MomentumField, potential: PotentialField, x0, config: Integrat
         steps.append(h)
 
     if config.scheme == "rk4":
-        n_steps = max(1, math.ceil(config.t_end / config.dt - 1e-12))
-        grid = np.minimum(np.arange(n_steps + 1) * config.dt, config.t_end)
+        grid = np.arange(_step_count(0.0, config.t_end, config.dt) + 1) * config.dt
+        grid[-1] = config.t_end
     else:
         grid = np.array([0.0, config.t_end])
     _, _, reason, _ = _integrate(field, start, config, grid, units, accepted=keep)
@@ -504,43 +507,40 @@ def classify_fixed_points(field: MomentumField, potential: PotentialField, regio
 
     The scan brackets sign changes of Im p on a uniform grid (fields from
     real eigenstates are purely imaginary on the real axis), skipping
-    brackets that straddle a pole, refines each bracket by Brent's
-    method, and keeps roots with |p| <= momentum_tol.  Each root is
-    reported as (x, |F(x)|); a genuine fixed point has both p = 0 and a
-    vanishing force residual.  Fewer than 3 samples raise ValueError; an
-    empty region, or one without a usable sample, raises EmptyRegion.
+    brackets that straddle a pole, bisects every bracket at once, one
+    field call per halving, until each midpoint equals an end, and keeps
+    roots with |p| <= momentum_tol.  Each root is reported as (x, |F(x)|);
+    a genuine fixed point has both p = 0 and a vanishing force residual.
+    Fewer than 3 samples raise ValueError; an empty region, or one without
+    a usable sample, raises EmptyRegion.
     """
-    from scipy.optimize import brentq
-
     if field.dimension != 1:
         raise ValueError("fixed-point scans are defined for 1-D fields")
     xs, pts, keep = _axis_samples(field, region, samples, 3)
     p = np.full(xs.shape, np.nan + 0j)
     p[keep] = field._value_at(pts[keep], check=False)[:, 0]
     g = p.imag
-
-    def imag_p(x):
-        return float(field._value_at(np.array([[complex(x)]]), check=False)[0, 0].imag)
-
-    roots = []
-    for i in range(len(xs) - 1):
-        if not (keep[i] and keep[i + 1]):
-            continue  # bracket straddles a pole: the sign flip is not a root
-        gi, gj = g[i], g[i + 1]
-        if gi == 0.0 and abs(p[i]) <= momentum_tol:
-            roots.append(float(xs[i]))
-        elif gi * gj < 0.0:
-            roots.append(float(brentq(imag_p, xs[i], xs[i + 1], xtol=1e-14, rtol=1e-15)))
-    if keep[-1] and g[-1] == 0.0 and abs(p[-1]) <= momentum_tol:
-        roots.append(float(xs[-1]))
+    # a bracket that straddles a pole flips sign at no root
+    usable = keep[:-1] & keep[1:]
+    on_grid = np.append(usable, keep[-1]) & (g == 0.0) & (np.abs(p) <= momentum_tol)
+    flips = usable & (np.sign(g[:-1]) * np.sign(g[1:]) < 0.0)
+    lo, hi, g_lo = xs[:-1][flips], xs[1:][flips], g[:-1][flips]
+    mid = 0.5 * (lo + hi)
+    while np.any((mid != lo) & (mid != hi)):
+        g_mid = field._value_at(mid[:, None].astype(complex), check=False)[:, 0].imag
+        same = np.sign(g_mid) == np.sign(g_lo)
+        lo = np.where(same | (g_mid == 0.0), mid, lo)  # a zero closes its bracket
+        hi = np.where(same, hi, mid)
+        mid = 0.5 * (lo + hi)
+    roots = xs[on_grid].tolist() + mid.tolist()
 
     results = []
     for root in sorted(roots):
         if results and abs(root - results[-1][0]) < 1e-9:
             continue
         value = field._value_at(np.array([[complex(root)]]), check=False)[0, 0]
-        if abs(value) > momentum_tol:
-            continue  # pole artifact or incomplete cancellation
+        if not abs(value) <= momentum_tol:
+            continue  # pole artifact (p may be nan there) or incomplete cancellation
         residual = float(np.abs(force_at(field, potential, complex(root), units)))
         results.append((root, residual))
     return results

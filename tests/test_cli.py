@@ -705,6 +705,60 @@ def test_an_oracle_run_loads_no_scipy(tmp_path):
     assert json.loads(out.stdout.strip().splitlines()[-1]) == [0, []]
 
 
+# The seven scenarios of the cli_scenarios benchmark, each smaller.
+SCENARIOS_WITHOUT_SCIPY = {
+    "evolve_rk4": ("evolve", {"svg": True, "evolve": {
+        "field": {"kind": "qho", "level": 1}, "x0": 2.0 ** 0.5, "scheme": "rk4",
+        "dt": 1e-3, "t_end": 0.78}}),
+    "evolve_rkf45": ("evolve", {"evolve": {
+        "field": {"kind": "qho", "level": 3}, "x0": [2.0, 0.3], "scheme": "rkf45",
+        "dt": 1e-2, "t_end": 5.0}}),
+    "field_scan": ("field-scan", {"svg": True, "field_scan": {
+        "field": {"kind": "qho", "level": 5}, "region": [0.1, 4.7], "samples": 2000}}),
+    "reconstruct": ("reconstruct", {"reconstruct": {
+        "field": {"kind": "qho", "level": 2}, "path": {"start": 0.8, "stop": 4.0, "nodes": 50}}}),
+    "twobody": ("twobody", {"twobody": {
+        "kind": "spinning", "radius": 1.0, "gamma": 1.0, "samples": 2000,
+        "closed_form_derivatives": False}}),
+    "oracle": ("oracle", {"oracle": {"points": 400, "states": 4, "field_check": True}}),
+    "ensemble": ("ensemble", {"svg": True, "ensemble": {
+        "field": {"kind": "qho", "level": 2}, "count": 200, "region": [1.0, 2.5], "seed": 1,
+        "scheme": "rk4", "dt": 1e-3, "t_end": 0.2, "histogram_times": [0.0, 0.1, 0.2],
+        "bins": 40, "born_reference": {"level": 2}}}),
+}
+
+
+def test_every_benchmark_scenario_runs_where_scipy_cannot_be_imported(tmp_path):
+    # scipy is a test dependency only; a meta_path finder makes every
+    # scipy import raise before momflow is imported
+    runs = {}
+    for name, (command, body) in SCENARIOS_WITHOUT_SCIPY.items():
+        path = write_config(tmp_path, {"scenario": command, "out_dir": str(tmp_path / name),
+                                       **body}, name=f"{name}.json")
+        runs[name] = [command, "--config", str(path)]
+    src = str(Path(momflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import json, sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError(f'{name} is not importable here')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "try:\n"
+        "    import scipy\n"
+        "    sys.exit('scipy was imported')\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "from momflow.cli import main\n"
+        f"print(json.dumps({{name: main(argv) for name, argv in {runs!r}.items()}}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == {name: 0 for name in runs}
+    for name in runs:
+        assert read_summary(tmp_path / name)["status"] == "ok", name
+
+
 # -- the process -------------------------------------------------------------------
 # ``python -m momflow.cli`` ends by os._exit once main returns.  Its stdout
 # is a pipe here, which Python buffers by blocks (PYTHONUNBUFFERED is

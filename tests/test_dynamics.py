@@ -20,7 +20,7 @@ from momflow import (
     zero_potential,
 )
 from momflow.core import NATURAL_UNITS
-from momflow.dynamics import NEAR_NODE, _integrate
+from momflow.dynamics import _TABLEAUX, NEAR_NODE, _integrate
 from momflow.errors import (
     BranchAmbiguity,
     EmptyRegion,
@@ -151,16 +151,20 @@ def test_rkf45_matches_analytic_solution():
 
 @pytest.mark.parametrize("scheme", ["rk4", "rkf45"])
 def test_evolve_keeps_one_time_and_one_step_size_per_step(scheme):
-    # t_end is not a multiple of dt, so the last rk4 step is a short one
-    config = IntegratorConfig(t_end=0.7853, scheme=scheme, dt=1e-2)
-    traj = evolve(FIELD, POT, math.sqrt(2.0), config)
-    assert len(traj.step_sizes) == len(traj.times) - 1
-    assert traj.times[0] == 0.0 and traj.times[-1] == config.t_end
-    assert np.allclose(np.diff(traj.times), traj.step_sizes, rtol=0.0, atol=1e-15)
-    if scheme == "rk4":
-        n = math.ceil(config.t_end / config.dt)
-        grid = np.minimum(np.arange(n + 1) * config.dt, config.t_end)
-        assert traj.times.tobytes() == grid.tobytes()
+    # 0.7853 is not a multiple of 1e-2, so the last rk4 step is a short one.
+    # 16.0055 / 7e-4 rounds to just above 22865: 22865 steps, the last one
+    # landing on t_end, and no grid interval split in two.
+    for t_end, dt, x0, n in [(0.7853, 1e-2, math.sqrt(2.0), 79), (16.0055, 7e-4, 1.3, 22865)]:
+        config = IntegratorConfig(t_end=t_end, scheme=scheme, dt=dt)
+        traj = evolve(FIELD, POT, x0, config)
+        assert len(traj.step_sizes) == len(traj.times) - 1
+        assert traj.times[0] == 0.0 and traj.times[-1] == config.t_end
+        assert np.allclose(np.diff(traj.times), traj.step_sizes,
+                           rtol=0.0, atol=1e-15 * max(1.0, t_end))
+        if scheme == "rk4":
+            grid = np.arange(n + 1) * dt
+            grid[-1] = t_end
+            assert traj.times.tobytes() == grid.tobytes()
 
 
 def test_momentum_is_slaved_to_field():
@@ -188,6 +192,23 @@ def test_rk4_evolve_makes_four_field_calls_per_step():
     traj = evolve(field, POT, math.sqrt(2.0), IntegratorConfig(t_end=0.1, dt=1e-2))
     assert len(traj) == 11
     assert calls == [1] * 40 + [11]  # four per step, then every stored momentum at once
+
+
+def test_rkf45_evolve_makes_six_field_calls_per_round():
+    calls = []
+
+    def value(pts):
+        calls.append(pts.shape[0])
+        return FIELD._value_at(pts, check=False)
+
+    field = MomentumField(1, value, poles=FIELD.poles, holomorphic=True)
+    # the first proposal, dt_max, fails the tolerance, so rejected rounds run too
+    config = IntegratorConfig(t_end=0.5, scheme="rkf45", dt=0.1, abs_tol=1e-12, rel_tol=1e-12)
+    traj = evolve(field, POT, math.sqrt(2.0), config)
+    rounds, rest = divmod(len(calls) - 1, 6)
+    assert rest == 0 and rounds > len(traj) - 1
+    # six per attempted round, then every stored momentum at once
+    assert calls == [1] * (6 * rounds) + [len(traj)]
 
 
 @pytest.mark.parametrize("scheme", ["rk4", "rkf45"])
@@ -266,6 +287,79 @@ def test_integrator_config_validation():
     IntegratorConfig(t_end=1.0, scheme="rkf45", rel_tol=0.0)
 
 
+# -- the Butcher tableaux -----------------------------------------------------------
+
+
+def _rooted_trees(order):
+    """The rooted trees with ``order`` vertices, each the sorted tuple of its root's subtrees."""
+    if order == 1:
+        return [()]
+    trees = set()
+    for size in range(1, order):
+        for child in _rooted_trees(size):
+            for rest in _rooted_trees(order - size):
+                trees.add(tuple(sorted(rest + (child,))))
+    return sorted(trees)
+
+
+def _order_defects(a, b, order):
+    """|b . Phi(t) - 1/gamma(t)| for each rooted tree t with ``order`` vertices
+    (Hairer, Norsett & Wanner, Solving ODEs I, II.2), with c = A 1."""
+    def phi(tree):  # the stage vector of the tree's elementary weight
+        g = np.ones(len(b))
+        for child in tree:
+            g = g * (a @ phi(child))
+        return g
+
+    def size(tree):
+        return 1 + sum(size(child) for child in tree)
+
+    def gamma(tree):
+        return size(tree) * math.prod(gamma(child) for child in tree)
+
+    return [abs(b @ phi(tree) - 1.0 / gamma(tree)) for tree in _rooted_trees(order)]
+
+
+def _butcher(name):
+    """(A, b, e) of a tableau: stage matrix, propagation weights, error weights."""
+    stages, update, error, divisor = _TABLEAUX[name]
+    s = len(stages) + 1
+    a = np.zeros((s, s))
+    for row, plan in enumerate(stages, 1):
+        assert all(0 <= i < row for i, _ in plan)  # explicit: each stage reads earlier ones
+        for i, w in plan:
+            a[row, i] = w
+
+    def weights(plan):
+        out = np.zeros(s)
+        for i, w in plan:
+            out[i] = w
+        return out / (divisor or 1.0)
+
+    return a, weights(update), weights(error)
+
+
+@pytest.mark.parametrize("name, nodes", [
+    ("rk4", [0.0, 0.5, 0.5, 1.0]),
+    ("rkf45", [0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2]),
+], ids=["rk4", "rkf45"])
+def test_tableau_meets_its_order_conditions(name, nodes):
+    # The conditions hold to rounding; a mistyped weight misses by far more.
+    a, b, err = _butcher(name)
+    assert np.allclose(a.sum(axis=1), nodes, rtol=0.0, atol=1e-15)  # the textbook nodes
+    fourth = [d for k in range(1, 5) for d in _order_defects(a, b, k)]
+    assert len(fourth) == 8 and max(fourth) < 1e-14
+    if name == "rkf45":
+        # b4 + err is Fehlberg's 5th-order solution: all 17 conditions up to
+        # order 5, while b4 alone misses some of the 9 of order 5
+        fifth = [d for k in range(1, 6) for d in _order_defects(a, b + err, k)]
+        assert len(fifth) == 17 and max(fifth) < 1e-14
+        assert max(_order_defects(a, b, 5)) > 1e-4
+        assert abs(err.sum()) < 1e-17
+    else:
+        assert not err.any()
+
+
 # -- fixed points --------------------------------------------------------------------
 
 
@@ -288,6 +382,25 @@ def test_level2_fixed_points_match_log_derivative_roots():
     assert len(roots) == 1
     assert roots[0][0] == pytest.approx(math.sqrt(2.5), abs=1e-9)
     assert roots[0][1] < 1e-9
+
+
+@pytest.mark.parametrize("level", range(11))
+def test_rest_points_are_the_real_roots_of_the_log_derivative_numerator(level):
+    # psi_n'/psi_n = (2n H_{n-1}(x) - x H_n(x)) / H_n(x) in natural units, so
+    # the rest points are the n + 1 real roots of the numerator, here from
+    # numpy.polynomial and polished by Newton's method.  The scan grid over
+    # (-6, 6) holds the root at 0 of the even levels as a sample.
+    hermite = np.polynomial.Hermite
+    numerator = (2 * level * hermite.basis(level - 1) if level else 0) \
+        - hermite([0.0, 0.5]) * hermite.basis(level)
+    expected = np.sort(numerator.roots().real)
+    slope = numerator.deriv()
+    for _ in range(4):
+        expected = expected - numerator(expected) / slope(expected)
+    found = np.array([x for x, _ in classify_fixed_points(qho_field(level), POT, (-6.0, 6.0))])
+    assert len(found) == level + 1
+    # within 4 ulp, an ulp taken at |x| >= 0.25 so that the root at 0 has a bound
+    assert np.all(np.abs(found - expected) <= 4 * np.spacing(np.maximum(np.abs(expected), 0.25)))
 
 
 @pytest.mark.parametrize("samples", [2, 1, 0, -1])
