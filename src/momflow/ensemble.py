@@ -7,10 +7,10 @@ the stepper shared with ``dynamics.evolve`` advances the members of one
 contiguous cache-sized block together with vectorized arithmetic, and
 the blocks are shared out over every core this process may run on.  The
 calling process evolves one share and forks a worker for each other
-share; the workers write starts, snapshots, energies and outcomes
-straight into anonymous shared memory.  Processes are used, not threads,
-because a step is dozens of small numpy calls and threads would spend
-their time passing the interpreter lock between them.  Forking a process
+share; the workers write starts, snapshots, each snapshot's energy
+drift and outcomes straight into anonymous shared memory.  Processes are
+used, not threads, because a step is dozens of small numpy calls and
+threads would spend their time passing the interpreter lock between them.  Forking a process
 that runs other threads can deadlock, so while any other Python thread
 is alive, and on one usable core, every block runs in the calling
 process.  The evaluation and reduction order is fixed and rkf45 controls
@@ -51,8 +51,8 @@ from .fields import (MomentumField, PotentialField, _GL_NODES, _GL_WEIGHTS, _che
 __all__ = _EXPORTS["ensemble"]
 
 _OFF_AXIS_CUT = 0.01
-# Members are stepped and their energies recorded in blocks of at most this
-# much complex state (16 384 one-dimensional members), so that a step's
+# Members are stepped and their energy drift recorded in blocks of at most
+# this much complex state (16 384 one-dimensional members), so that a step's
 # dozen block-sized arrays stay in a 2 MB L2 cache.
 _BLOCK_BYTES = 256 * 1024
 # Processes that evolve blocks at once: the cores this process may run on,
@@ -169,7 +169,10 @@ class EnsembleResult:
     spec: EnsembleSpec
     times: np.ndarray                 # (s,)
     positions: np.ndarray             # (s, count, d) complex
-    energies: np.ndarray | None       # (s, count) complex
+    energy_drift: np.ndarray | None   # (s,) float
+    """Largest |E(t_s) - E(0)| over the members alive at each snapshot;
+    a member's energies are ``energy_at(field, potential, positions[s],
+    units)`` bit for bit.  None when energy was not recorded."""
     termination_time: np.ndarray      # (count,) nan while running
     termination_reason: np.ndarray    # (count,) codes into REASON_LABELS
     steps: int
@@ -195,23 +198,18 @@ class EnsembleResult:
         return int(np.argmin(np.abs(self.times - t)))
 
     def alive_at(self, index: int) -> np.ndarray:
-        t = self.times[index]
-        return np.isnan(self.termination_time) | (self.termination_time > t)
+        return _alive(self.termination_time, self.times[index])
 
     def max_energy_drift(self) -> float:
-        """Largest per-member |E(t) - E(0)| over pre-termination snapshots."""
-        if self.energies is None:
-            raise ValueError("energies were not recorded")
-        # one snapshot at a time, so the temporaries stay one row long; a
-        # nan drift of a live member propagates, as in the whole-array max
-        start = self.energies[0]
-        diff, drift = np.empty_like(start), np.empty(start.shape)
-        worst = 0.0
-        for s, row in enumerate(self.energies):
-            np.abs(np.subtract(row, start, out=diff), out=drift)
-            drift[~self.alive_at(s)] = 0.0
-            worst = np.maximum(worst, drift.max())
-        return float(worst)
+        """Largest per-member |E(t) - E(0)| over pre-termination snapshots; nan propagates."""
+        if self.energy_drift is None:
+            raise ValueError("energy was not recorded")
+        return float(self.energy_drift.max())
+
+
+def _alive(termination_time, t):
+    """Which members are still running at time ``t``."""
+    return np.isnan(termination_time) | (termination_time > t)
 
 
 def _blocks(count, d):
@@ -330,10 +328,12 @@ def evolve_ensemble(field: MomentumField, potential: PotentialField, spec: Ensem
     Member failures (diving toward a node, adaptive-step underflow) are
     recorded as per-member outcomes, and a retired member keeps its last
     state in every later snapshot; the batch itself never aborts.  The
-    members are stepped, and their energies recorded, in contiguous blocks
-    of at most 256 KiB of complex state, with vectorized arithmetic within
-    a block; the blocks are shared out over the usable cores in forked
-    workers (see the module docstring).  The region is checked against the
+    members are stepped in contiguous blocks of at most 256 KiB of complex
+    state, with vectorized arithmetic within a block; the blocks are shared
+    out over the usable cores in forked workers (see the module docstring).
+    With ``record_energy`` each block then reduces its members' energies to
+    one row of drift per snapshot, and ``energy_drift`` is the
+    nan-propagating max of those rows.  The region is checked against the
     field's poles here, before any block runs; each block then draws its
     own starts (``sample_initial`` on its range of streams) in the process
     that evolves it.  An exception raised in a worker, an ``EmptyRegion``
@@ -349,10 +349,10 @@ def evolve_ensemble(field: MomentumField, potential: PotentialField, spec: Ensem
     _check_region(spec.box, field.poles, field.tolerance.node_guard)
     times = np.linspace(0.0, spec.integrator.t_end, spec.snapshots)
     positions = _shared((spec.snapshots, spec.count, d), complex)
-    energies = _shared((spec.snapshots, spec.count), complex) if record_energy else None
     term_time = _shared((spec.count,), float)
     term_reason = _shared((spec.count,), np.int8)
     blocks = _blocks(spec.count, d)
+    drift = _shared((len(blocks), spec.snapshots), float) if record_energy else None
     steps = _shared((len(blocks),), np.int64)
     seconds = _shared((_WORKERS,), float)  # stepping time of each worker
 
@@ -373,13 +373,19 @@ def evolve_ensemble(field: MomentumField, potential: PotentialField, spec: Ensem
         later, member = np.nonzero(times[:, None] > stopped[gone])
         block[later, gone[member]] = last[gone[member]]
         seconds[w] += time.perf_counter() - start
-        if energies is not None:
+        if drift is not None:
+            first = _energy(field, potential, block[0], units)[1]
+            diff, gap = np.empty_like(first), np.empty(first.shape)
             for s, pts in enumerate(block):
-                energies[s, lo:hi] = _energy(field, potential, pts, units)[1]
+                now = _energy(field, potential, pts, units)[1] if s else first
+                np.abs(np.subtract(now, first, out=diff), out=gap)
+                gap[~_alive(stopped, times[s])] = 0.0
+                drift[b, s] = gap.max()
 
     _in_workers(evolve_block, len(blocks))
     return EnsembleResult(
-        spec=spec, times=times, positions=positions, energies=energies,
+        spec=spec, times=times, positions=positions,
+        energy_drift=None if drift is None else drift.max(axis=0),
         termination_time=term_time, termination_reason=term_reason,
         steps=int(steps.max()), wall_time=float(seconds.max()))
 

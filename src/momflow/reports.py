@@ -245,12 +245,14 @@ def ensemble_summary(result) -> dict:
         "completion_fraction": result.completion_fraction,
         "outcomes": reasons,
         "steps": result.steps,
-        "wall_time_s": result.wall_time,
         "snapshot_times": result.times,
         "metadata": {k: getattr(result.spec.integrator, k) for k in ("scheme", "dt", "t_end")},
     }
-    if result.energies is not None:
+    if result.energy_drift is not None:
+        summary["energy_drift"] = result.energy_drift
         summary["max_energy_drift"] = result.max_energy_drift()
+    # the one entry that differs between two runs of one config
+    summary["timing"] = {"wall_time_s": result.wall_time}
     return summary
 
 

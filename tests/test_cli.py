@@ -203,6 +203,27 @@ def test_ensemble_seed_override_changes_run(tmp_path):
     assert read_summary(out_b)["seed"] == 2
 
 
+def test_two_ensemble_runs_differ_only_in_timing(tmp_path):
+    # members from near sqrt(2) retire near the node, so the drift skips some
+    out = tmp_path / "run"
+    path = write_config(tmp_path, {
+        "scenario": "ensemble", "out_dir": str(out),
+        "ensemble": {"count": 200, "region": [1.40, 1.43], "seed": 7, "dt": 0.001,
+                     "t_end": 2.0, "bins": 8, "histogram_times": [0.0, 2.0]}})
+    texts = []
+    for _ in range(2):
+        assert main(["ensemble", "--config", str(path)]) == 0
+        summary = read_summary(out)
+        assert summary["completion_fraction"] < 1.0
+        assert summary["timing"]["wall_time_s"] > 0.0
+        drift = summary["energy_drift"]
+        assert len(drift) == len(summary["snapshot_times"]) == 201
+        assert max(drift) == summary["max_energy_drift"] < 1e-8
+        del summary["timing"]
+        texts.append(json.dumps(summary, indent=2, sort_keys=True))
+    assert texts[0] == texts[1]
+
+
 def test_seed_flag_is_refused_where_nothing_is_drawn(tmp_path):
     out = tmp_path / "run"
     path = write_config(tmp_path, {

@@ -18,6 +18,7 @@ from momflow import (
     UnitSystem,
     compare_density_to_born,
     density_histogram,
+    energy_at,
     evolve,
     evolve_ensemble,
     field_from_grid,
@@ -37,6 +38,7 @@ from momflow.core import _STATE_BATCH, NATURAL_UNITS, substream_rng
 from momflow.dynamics import COMPLETED, NEAR_NODE, STEP_UNDERFLOW, _integrate
 from momflow.ensemble import _BLOCK_BYTES, _MIN_WORKER_BLOCK, REASON_LABELS, _blocks
 from momflow.errors import EmptyRegion, RegionOverlapsSingularity, TimeOutOfRange, ZeroMass
+from momflow.fields import _energy
 
 FIELD = qho_field(1)
 POT = harmonic_potential()
@@ -202,29 +204,46 @@ def test_members_near_branch_point_terminate():
     assert np.all(np.isfinite(result.termination_time[~result.completed]))
 
 
-def test_energy_drift_skips_retired_members():
+def test_energy_drift_skips_retired_members(monkeypatch):
     # Level 2 from (0.75, 2.0): members retire near the node at t = 0 and
     # near t = 1.25, after which their energies are not counted.
+    monkeypatch.setattr(ensemble, "_WORKERS", 1)  # the patched _energy runs in this process
+    field = qho_field(2)
     spec = EnsembleSpec(count=100, region=(0.75, 2.0), distribution=uniform_distribution(),
                         seed=SeedSpec(11), integrator=IntegratorConfig(t_end=2.0, dt=1e-2),
                         snapshots=21)
-    result = evolve_ensemble(qho_field(2), POT, spec)
+    result = evolve_ensemble(field, POT, spec)
     retired = result.termination_time[~result.completed]
     assert np.any(retired == 0.0) and np.any(retired > 1.0)
-
-    def whole_array_drift(res):
-        drift = np.abs(res.energies - res.energies[0])
-        alive = np.stack([res.alive_at(i) for i in range(len(res.times))])
-        return float(np.where(alive, drift, 0.0).max())
-
-    expected = whole_array_drift(result)
+    assert len(_blocks(spec.count, 1)) == 1  # so the nth _energy call is snapshot n
+    energies = np.stack([energy_at(field, POT, pts) for pts in result.positions])
+    alive = np.stack([result.alive_at(s) for s in range(spec.snapshots)])
+    drift = np.where(alive, np.abs(energies - energies[0]), 0.0)
+    assert np.array_equal(result.energy_drift, drift.max(axis=1))
+    expected = float(drift.max())
     assert result.max_energy_drift() == expected
+
+    def nan_energy(snapshot, member):
+        calls = []
+
+        def energy(*args):
+            momenta, values = _energy(*args)
+            if len(calls) == snapshot:
+                values[member] = np.nan
+            calls.append(None)
+            return momenta, values
+        monkeypatch.setattr(ensemble, "_energy", energy)
+        return evolve_ensemble(field, POT, spec)
+
     # a member's energy after it retired never counts, even when it is nan
-    result.energies[-1, np.flatnonzero(result.termination_time > 1.0)[0]] = np.nan
-    assert result.max_energy_drift() == expected
+    late = nan_energy(spec.snapshots - 1, np.flatnonzero(result.termination_time > 1.0)[0])
+    assert np.array_equal(late.energy_drift, result.energy_drift)
+    assert late.max_energy_drift() == expected
     # a live member's nan drift is the answer, as in the whole-array max
-    result.energies[len(result.times) // 2, np.flatnonzero(result.completed)[0]] = np.nan
-    assert np.isnan(whole_array_drift(result)) and np.isnan(result.max_energy_drift())
+    mid = spec.snapshots // 2
+    live = nan_energy(mid, np.flatnonzero(result.completed)[0])
+    assert np.isnan(live.energy_drift[mid]) and np.isnan(live.max_energy_drift())
+    assert np.array_equal(np.delete(live.energy_drift, mid), np.delete(result.energy_drift, mid))
 
 
 @pytest.mark.parametrize("kind", ["grid", "wavefunction"])
@@ -503,14 +522,14 @@ def test_blocked_evolution_equals_whole_batch(monkeypatch, level, spec, cap, ret
 
     monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 16 * spec.count)
     whole = evolve_ensemble(field, POT, spec)
-    for name in ("positions", "energies", "termination_time", "termination_reason", "steps"):
+    for name in ("positions", "energy_drift", "termination_time", "termination_reason", "steps"):
         assert np.array_equal(getattr(blocked, name), getattr(whole, name), equal_nan=True), name
 
 
 def test_evolution_memory_is_bounded_by_the_block(monkeypatch):
     # numpy reports its allocations to tracemalloc, which sees neither
     # forked workers nor the shared memory that holds the snapshots and
-    # energies.  A run of 4 blocks of members peaks at about 12.7 blocks'
+    # drift rows.  A run of 4 blocks of members peaks at about 12.7 blocks'
     # worth while it steps one block (drawing a block's starts peaks at 5.0);
     # stepping the whole batch at once peaked at over 30.
     monkeypatch.setattr(ensemble, "_WORKERS", 1)
@@ -525,6 +544,30 @@ def test_evolution_memory_is_bounded_by_the_block(monkeypatch):
         tracemalloc.stop()
     assert result.completion_fraction == 1.0
     assert peak < 16 * block
+
+
+@pytest.mark.parametrize("record_energy", [True, False])
+def test_shared_memory_holds_positions_outcomes_and_drift_rows(monkeypatch, record_energy):
+    # Beside the snapshots, shared memory holds each member's termination
+    # time and reason (9 bytes), each block's drift row and step count, and
+    # each worker's stepping time: no array of snapshots x members besides
+    # the positions.
+    monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 64 * 16)
+    spec = level2_spec(301, "rkf45")
+    shared, allocate = [], ensemble._shared
+
+    def spy(shape, dtype):
+        array = allocate(shape, dtype)
+        shared.append(array.nbytes)
+        return array
+
+    monkeypatch.setattr(ensemble, "_shared", spy)
+    result = evolve_ensemble(qho_field(2), POT, spec, record_energy=record_energy)
+    blocks = len(_blocks(spec.count, 1))
+    assert blocks > 1 and (result.energy_drift is None) != record_energy
+    rows = blocks * spec.snapshots if record_energy else 0
+    bound = result.positions.nbytes + 9 * spec.count + 8 * (rows + blocks + ensemble._WORKERS)
+    assert sum(shared) <= bound
 
 
 def test_blocks_give_every_worker_an_equal_share(monkeypatch):
@@ -550,7 +593,8 @@ def forks_counted(monkeypatch):
     return calls
 
 
-RESULT_FIELDS = ("positions", "energies", "termination_time", "termination_reason", "steps")
+RESULT_FIELDS = ("positions", "energy_drift", "termination_time", "termination_reason",
+                 "steps")
 
 
 @pytest.mark.parametrize("workers", [2, 4])
