@@ -539,7 +539,8 @@ def _write_summary(scenario: str, cfg: RunConfig | None, out_dir, details: dict)
 
 def _execute(cfg: RunConfig) -> tuple[int, dict]:
     """(exit code, summary details) of ``cfg``'s run, after writing the files
-    whose suffix ``formats`` or ``svg`` enables; a failed run writes none.
+    whose suffix ``formats`` or ``svg`` enables; a failed run removes those
+    it finished, so it leaves none.
     The details name the files written, sorted, under ``files``.
 
     A library type's ValueError is a setting it refuses: a config error.
@@ -551,8 +552,15 @@ def _execute(cfg: RunConfig) -> tuple[int, dict]:
         _, runner = _SCENARIOS[cfg.scenario]
         code, details, files = runner(cfg, reports.standard_metadata(config_hash=cfg.config_hash))
         written = sorted(name for name in files if Path(name).suffix in enabled)
-        for name in written:
-            files[name](out / name)
+        finished = []
+        try:
+            for name in written:
+                files[name](out / name)
+                finished.append(out / name)
+        except BaseException:  # the files an earlier run left stay
+            for path in finished:
+                path.unlink(missing_ok=True)
+            raise
     except (ConfigError, ValueError) as exc:
         where = "" if isinstance(exc, ConfigError) else f"{_block_key(cfg.scenario)}: "
         return _EXIT_CONFIG, {"status": "config-error", "error": f"{where}{exc}"}

@@ -5,7 +5,9 @@ preceded by a ``#``-prefixed metadata block: tool version, config hash,
 seed, and any record-specific settings such as the integration scheme.
 A table is written a column at a time: a complex column ``name`` becomes
 the columns ``re_name`` and ``im_name``.  In JSON a complex value, alone
-or at any depth of an array, becomes an [re, im] pair.
+or at any depth of an array, becomes an [re, im] pair.  A JSON object
+whose keys are strings is written one key per line, and every other
+value, arrays included, on one line.
 """
 
 from __future__ import annotations
@@ -76,61 +78,19 @@ def write_csv(path, columns, metadata=None) -> Path:
     return path
 
 
-# dtypes whose .tolist() gives Python bools, ints or floats; longdouble is not one
-_NUMERIC = "?" + np.typecodes["AllInteger"] + "efdFD"
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json spells them
-
-
-def _array_text(array, depth) -> str:
-    """``json.dumps(_jsonable(array), indent=2)`` at ``depth``, for a non-empty numeric array.
-
-    The values are formatted all at once and interleaved with separators
-    built once per shape.
-    """
-    if array.dtype.kind == "c":
-        array = np.stack((array.real, array.imag), axis=-1)
-    values = array.ravel().tolist()
-    if array.dtype.kind == "b":
-        cells = ["true" if v else "false" for v in values]
-    elif array.dtype.kind == "f":
-        cells = list(map(float.__repr__, values))
-        if not np.isfinite(array).all():
-            cells = [_NONFINITE.get(cell, cell) for cell in cells]
-    else:
-        cells = list(map(int.__repr__, values))
-    rank = array.ndim
-    pad = ["\n" + "  " * (depth + level) for level in range(rank + 1)]
-    # leaving the innermost ``closed`` levels between two values: close them, open them again
-    seps = []
-    for closed, size in enumerate(reversed(array.shape)):
-        between = ("".join(pad[rank - k] + "]" for k in range(1, closed + 1)) + ","
-                   + "".join(pad[rank - k] + "[" for k in range(closed, 0, -1)) + pad[rank])
-        seps = ((seps + [between]) * size)[:-1]
-    text = [None] * (2 * len(cells) - 1)
-    text[::2] = cells
-    text[1::2] = seps
-    return ("".join("[" + pad[level] for level in range(1, rank + 1)) + "".join(text)
-            + "".join(pad[level] + "]" for level in range(rank - 1, -1, -1)))
-
-
 def _json_text(value, depth=0) -> str:
-    """``json.dumps(_jsonable(value), indent=2, sort_keys=True)`` indented to ``depth``."""
-    if (isinstance(value, np.ndarray) and value.ndim and value.size
-            and value.dtype.char in _NUMERIC):
-        return _array_text(value, depth)
+    """``value`` at ``depth``: a string-keyed object a key per line, else one line."""
     if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
         pad = "\n" + "  " * (depth + 1)
         return ("{" + ",".join(f"{pad}{json.dumps(key)}: {_json_text(value[key], depth + 1)}"
                                for key in sorted(value)) + "\n" + "  " * depth + "}")
-    # JSON escapes a newline inside a string, so each newline here starts a line
-    text = json.dumps(_jsonable(value), indent=2, sort_keys=True)
-    return text.replace("\n", "\n" + "  " * depth) if depth else text
+    return json.dumps(_jsonable(value), sort_keys=True)
 
 
 def write_json(path, payload) -> Path:
-    """``payload`` as ``json.dumps(_jsonable(payload), indent=2, sort_keys=True)`` writes it.
-
-    Numeric arrays are formatted a whole array at a time.
+    """``payload`` as JSON: an object with string keys one key per line, sorted and
+    indented two spaces per level; every other value, arrays included, as
+    ``json.dumps(_jsonable(value), sort_keys=True)`` on one line.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

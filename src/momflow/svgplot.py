@@ -139,24 +139,25 @@ def line_plot(path, x, series, labels=None, title="", xlabel="", ylabel="",
               log_y=False) -> Path:
     """Polyline plot of one or more y-series against shared x values.
 
-    With ``log_y`` non-positive samples are dropped from the plot (log
-    axes cannot show them); a series with nothing left raises EmptySeries.
+    Non-finite samples are dropped from the plot, and with ``log_y``
+    non-positive ones too (log axes cannot show them); a series with
+    nothing left raises EmptySeries.
     """
     x = np.asarray(x, dtype=float)
     series = [np.asarray(s, dtype=float) for s in series]
     if x.size == 0 or not series or any(s.size != x.size for s in series):
         raise EmptySeries("line plot needs one or more non-empty series matching x")
-    if log_y:
-        kept = [(x[s > 0], s[s > 0]) for s in series]
-        if any(xs.size == 0 for xs, _ in kept):
-            raise EmptySeries("log-scale plot has no positive samples")
-        y_lo = min(ys.min() for _, ys in kept)
-        y_hi = max(ys.max() for _, ys in kept)
-        frame = _Frame(x.min(), x.max(), y_lo, y_hi, log_y=True)
-    else:
-        kept = [(x, s) for s in series]
-        frame = _Frame(x.min(), x.max(), min(s.min() for s in series),
-                       max(s.max() for s in series))
+    finite_x = np.isfinite(x)
+    kept = []
+    for s in series:
+        keep = finite_x & np.isfinite(s)
+        if log_y:
+            keep &= s > 0
+        kept.append((x[keep], s[keep]))
+    if any(xs.size == 0 for xs, _ in kept):
+        raise EmptySeries(f"a series has no finite{' positive' if log_y else ''} samples")
+    frame = _Frame(x[finite_x].min(), x[finite_x].max(), min(ys.min() for _, ys in kept),
+                   max(ys.max() for _, ys in kept), log_y)
 
     parts = _axes(frame, title, xlabel, ylabel)
     for i, (xs, ys) in enumerate(kept):

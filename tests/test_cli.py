@@ -413,6 +413,41 @@ def test_a_failed_run_writes_only_its_summary(tmp_path):
     assert read_summary(out)["files"] == []
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("block", [
+    {"field": {"level": 2}, "region": [0.1, 1e200], "samples": 50},  # NaN energies
+    {"potential": {"kind": "polynomial", "coefficients": [0, 0, 1e308]},
+     "samples": 50},  # infinite energies
+])
+def test_a_scan_with_non_finite_energies_plots_the_finite_ones(tmp_path, block):
+    out = tmp_path / "run"
+    path = write_config(tmp_path, {"scenario": "field-scan", "out_dir": str(out), "svg": True,
+                                   "field_scan": block})
+    assert main(["field-scan", "--config", str(path)]) == 2
+    summary = read_summary(out)
+    assert summary["status"] == "invariant-failed"
+    assert summary["resolved_config"] is not None
+    assert summary["files"] == ["field_scan.csv", "field_scan.svg"]
+    assert "<polyline" in (out / "field_scan.svg").read_text()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_run_that_fails_while_writing_removes_what_it_wrote(tmp_path):
+    # force_norm.csv is written before the drift plot, which has no finite
+    # sample left and raises EmptySeries; an earlier run's file stays
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "earlier.csv").write_text("")
+    path = write_config(tmp_path, {"scenario": "twobody", "out_dir": str(out), "svg": True,
+                                   "twobody": {"kind": "spinning", "radius": 1e200,
+                                               "gamma": 1e120, "samples": 50}})
+    assert main(["twobody", "--config", str(path)]) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["earlier.csv", "summary.json"]
+    summary = read_summary(out)
+    assert summary["status"] == "error" and "EmptySeries" in summary["error"]
+    assert summary["files"] == []
+
+
 def test_an_out_dir_that_cannot_be_made_is_an_error_on_stderr(tmp_path, capsys):
     (tmp_path / "afile").write_text("")
     out = tmp_path / "afile" / "sub"

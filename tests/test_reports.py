@@ -198,6 +198,17 @@ def _wrapped(draw):
     return value, expected
 
 
+def _layout(value, indent=""):
+    """JSON text of plain-Python ``value``: a non-empty object whose keys are all
+    strings takes a line per key, sorted and indented two spaces per level, and
+    every other value one line."""
+    if not (isinstance(value, dict) and value and all(isinstance(k, str) for k in value)):
+        return json.dumps(value, sort_keys=True)
+    inner = indent + "  "
+    lines = [f"{inner}{json.dumps(k)}: {_layout(value[k], inner)}" for k in sorted(value)]
+    return "{\n" + ",\n".join(lines) + "\n" + indent + "}"
+
+
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(_columns(), st.integers(0, 4), st.integers(1, 3), st.builds(complex, _floats, _floats),
        st.builds(complex, _floats32, _floats32), st.dictionaries(_keys, _arrays(), max_size=4),
@@ -220,9 +231,12 @@ def test_write_json_equals_json_dumps_of_hand_built_pairs(tmp_path_factory, tabl
         "arrays": {key: lists for key, (_, lists) in arrays.items()},
         "wrapped": {str(i): lists for i, (_, lists) in enumerate(wrapped)},
     }
-    text = json.dumps(expected, indent=2, sort_keys=True) + "\n"
-    path = reports.write_json(tmp_path_factory.mktemp("json") / "t.json", payload)
-    assert path.read_bytes() == text.encode("utf-8")
+    directory = tmp_path_factory.mktemp("json")
+    path = reports.write_json(directory / "t.json", payload)
+    assert path.read_bytes() == (_layout(expected) + "\n").encode("utf-8")
+    # a list at the top level takes one line, objects inside it included
+    path = reports.write_json(directory / "list.json", [payload])
+    assert path.read_bytes() == (json.dumps([expected], sort_keys=True) + "\n").encode("utf-8")
 
 
 def test_write_csv_refuses_ragged_or_non_vector_columns(tmp_path):
@@ -254,6 +268,27 @@ def test_log_axis_plot(tmp_path):
     y = np.exp(-10 * x)
     path = svgplot.line_plot(tmp_path / "log.svg", x, [y], log_y=True)
     assert "<polyline" in path.read_text()
+
+
+@pytest.mark.parametrize("log_y", [False, True])
+def test_line_plot_drops_non_finite_samples(tmp_path, log_y):
+    # the dropped samples lie inside the x range, so the frame is the same
+    x = np.linspace(0.0, 1.0, 9)
+    y = np.exp(x)
+    x_in, y_in = x.copy(), y.copy()
+    y_in[[1, 2, 3]] = np.nan, np.inf, -np.inf
+    x_in[[4, 5]] = np.nan, np.inf
+    if log_y:
+        y_in[6] = -1.0
+    keep = np.isfinite(x_in) & np.isfinite(y_in) & (y_in > 0)
+    assert keep.sum() == (3 if log_y else 4)
+    plotted = svgplot.line_plot(tmp_path / "a.svg", x_in, [y_in], log_y=log_y)
+    finite = svgplot.line_plot(tmp_path / "b.svg", x[keep], [y[keep]], log_y=log_y)
+    assert plotted.read_bytes() == finite.read_bytes()
+    with pytest.raises(EmptySeries):
+        svgplot.line_plot(tmp_path / "c.svg", x[:3], [np.array([np.nan, np.inf, -np.inf])],
+                          log_y=log_y)
+    assert not (tmp_path / "c.svg").exists()
 
 
 def test_histogram_plot_with_overlay(tmp_path):
