@@ -23,6 +23,7 @@ attached to the raised error.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -452,49 +453,41 @@ def qho_analytic_position(x0, t, units: UnitSystem = NATURAL_UNITS,
                           tolerance: TolerancePolicy = DEFAULT_TOLERANCE):
     """Closed-form level-1 oscillator trajectory through complex x0.
 
-    The squared position obeys a linear equation with solution
-
-        u(t) = hbar/(m w) + (x0**2 - hbar/(m w)) * exp(2 i w t),
-
-    a circle in the complex plane, and x(t) is the square root branch
-    chosen by continuity from x0 at t = 0.  The branch is tracked by
-    unwrapping the winding of u around the origin on a refined time
-    grid; if u passes within node_guard**2 of 0 the branch becomes
-    ambiguous and BranchAmbiguity is raised.
-
-    Starting exactly at x0 = sqrt(hbar/(m w)) the circle degenerates to
-    a point and the particle stays put; for |x0| large the motion tends
-    to the classical circle x0*exp(i w t).
+    u = x**2 runs round the circle u(t) = L + c*exp(2 i w t), L = hbar/(m w),
+    c = x0**2 - L, and x(t) is the root continued from x0 (at rest if c = 0):
+    s*exp(i w t)*sqrt(1 + (L/c)*exp(-2 i w t)) if |c| > L, which tends to the
+    classical x0*exp(i w t) for |x0| large, else s*sqrt(1 + (c/L)*exp(2 i w t)).
+    The roots are principal, of radicands in the closed right half-plane, and
+    the sign of s is fixed by x(0) = x0.  BranchAmbiguity is raised if |u|
+    comes within node_guard**2 of 0 between t = 0 and the requested times;
+    its least value there is |L - |c|| if 2 w t + arg c passes an odd
+    multiple of pi, else its value at an end.
     """
-    ts = np.asarray(t, dtype=float)
-    scalar = ts.ndim == 0
-    ts = np.atleast_1d(ts)
+    scalar = np.ndim(t) == 0
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
     x0 = complex(x0)
     center = units.hbar / (units.mass * units.omega)
     c = x0 * x0 - center
     if c == 0:
-        out = np.full(ts.shape, x0, dtype=complex)
-        return complex(out[0]) if scalar else out
-
-    t_lo = min(0.0, float(ts.min()))
-    t_hi = max(0.0, float(ts.max()))
-    # refine so the phase advances < 0.05 rad between grid points
-    span = 2.0 * units.omega * (t_hi - t_lo)
-    n_dense = max(33, int(span / 0.05) + 2)
-    grid = np.union1d(np.linspace(t_lo, t_hi, n_dense), np.append(ts, 0.0))
-    u = center + c * np.exp(2j * units.omega * grid)
-    if np.min(np.abs(u)) < tolerance.node_guard ** 2:
-        raise BranchAmbiguity(
-            "u(t) = x(t)**2 passes within node_guard**2 of the origin; "
-            "the square-root branch cannot be continued")
-    theta = np.unwrap(np.angle(u))
-    i0 = int(np.searchsorted(grid, 0.0))
-    target = 2.0 * np.angle(x0)
-    theta += 2.0 * np.pi * round((target - theta[i0]) / (2.0 * np.pi))
-    x = np.sqrt(np.abs(u)) * np.exp(0.5j * theta)
-    idx = np.searchsorted(grid, ts)
-    out = x[idx]
-    return complex(out[0]) if scalar else out
+        return x0 if scalar else np.full(ts.shape, x0, dtype=complex)
+    # 2 w t + arg c at the ends of the span, and the last odd multiple of pi up to it
+    ends = 2.0 * units.omega * np.array([min(0.0, ts.min()), max(0.0, ts.max())]) + cmath.phase(c)
+    odd = (2 * math.floor((ends[1] - math.pi) / (2 * math.pi)) + 1) * math.pi
+    closest = (abs(center - abs(c)) if odd >= ends[0]
+               else np.abs(center + abs(c) * np.exp(1j * ends)).min())
+    if closest < tolerance.node_guard ** 2:
+        raise BranchAmbiguity("u(t) = x(t)**2 passes within node_guard**2 of the origin; "
+                              "the square-root branch cannot be continued")
+    phase = units.omega * ts
+    if abs(c) > center:
+        root, q, x = cmath.sqrt(c), center / c, np.exp(1j * phase)
+        x *= np.sqrt(1.0 + q * np.exp(-2j * phase))
+    else:
+        root, q = math.sqrt(center), c / center
+        x = np.sqrt(1.0 + q * np.exp(2j * phase))
+    # the sign that continues x0, since x(0) = +-root * sqrt(1 + q)
+    x *= root if (x0 * (root * cmath.sqrt(1.0 + q)).conjugate()).real >= 0.0 else -root
+    return complex(x[0]) if scalar else x
 
 
 # -- fixed points ----------------------------------------------------------------

@@ -29,10 +29,16 @@ def _label(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _fraction(v, lo, hi):
+    """(v - lo) / (hi - lo), taken at half scale, which is exact, if hi - lo overflows."""
+    s = 0.5 if math.isinf(hi - lo) else 1.0
+    return (v * s - lo * s) / (hi * s - lo * s)
+
+
 def _nice_ticks(lo: float, hi: float, target: int = 5):
-    if hi <= lo:
-        lo, hi = lo - 0.5, hi + 0.5
     raw = (hi - lo) / target
+    if math.isinf(raw):
+        raw = (hi * 0.5 - lo * 0.5) / target * 2.0
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -41,7 +47,7 @@ def _nice_ticks(lo: float, hi: float, target: int = 5):
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
-    while t <= hi + 1e-12 * step:
+    while t <= hi + 1e-12 * step and math.isfinite(t):  # the bound overflows near 1.8e308
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
         t += step
     return ticks
@@ -61,13 +67,14 @@ class _Frame:
             x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
         if y_hi <= y_lo:  # a decade either side on a log axis, which has no room below 0
             y_lo, y_hi = (y_lo / 10.0, y_hi * 10.0) if log_y else (y_lo - 0.5, y_hi + 0.5)
-        self.x_lo, self.x_hi = x_lo, x_hi
-        self.y_lo, self.y_hi = y_lo, y_hi
+        # python floats, whose hi - lo overflows to inf without a numpy warning
+        self.x_lo, self.x_hi = float(x_lo), float(x_hi)
+        self.y_lo, self.y_hi = float(y_lo), float(y_hi)
         self.log_y = log_y
 
     def px(self, x):
         """Pixel column of a value or, element by element, of an array."""
-        f = (x - self.x_lo) / (self.x_hi - self.x_lo)
+        f = _fraction(x, self.x_lo, self.x_hi)
         return _MARGIN_L + f * (_WIDTH - _MARGIN_L - _MARGIN_R)
 
     def py(self, y):
@@ -79,7 +86,7 @@ class _Frame:
             f = (log - math.log10(self.y_lo)) / (
                 math.log10(self.y_hi) - math.log10(self.y_lo))
         else:
-            f = (y - self.y_lo) / (self.y_hi - self.y_lo)
+            f = _fraction(y, self.y_lo, self.y_hi)
         return _HEIGHT - _MARGIN_B - f * (_HEIGHT - _MARGIN_T - _MARGIN_B)
 
 

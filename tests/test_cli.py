@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -418,6 +419,9 @@ def test_a_failed_run_writes_only_its_summary(tmp_path):
     {"field": {"level": 2}, "region": [0.1, 1e200], "samples": 50},  # NaN energies
     {"potential": {"kind": "polynomial", "coefficients": [0, 0, 1e308]},
      "samples": 50},  # infinite energies
+    {"field": {"level": 0}, "region": [-1, 1],
+     "potential": {"kind": "polynomial", "coefficients": [0, 1.7e308]},
+     "samples": 50},  # finite energies whose range, max - min, overflows
 ])
 def test_a_scan_with_non_finite_energies_plots_the_finite_ones(tmp_path, block):
     out = tmp_path / "run"
@@ -428,7 +432,9 @@ def test_a_scan_with_non_finite_energies_plots_the_finite_ones(tmp_path, block):
     assert summary["status"] == "invariant-failed"
     assert summary["resolved_config"] is not None
     assert summary["files"] == ["field_scan.csv", "field_scan.svg"]
-    assert "<polyline" in (out / "field_scan.svg").read_text()
+    svg = (out / "field_scan.svg").read_text()
+    assert "<polyline" in svg
+    assert not re.search(r"\b(nan|inf)\b", svg)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

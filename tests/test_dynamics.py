@@ -1,7 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from momflow import (
     IntegratorConfig,
@@ -19,7 +21,7 @@ from momflow import (
     stationarity_residual,
     zero_potential,
 )
-from momflow.core import NATURAL_UNITS
+from momflow.core import NATURAL_UNITS, TolerancePolicy, UnitSystem
 from momflow.dynamics import _TABLEAUX, NEAR_NODE, _integrate
 from momflow.errors import (
     BranchAmbiguity,
@@ -109,6 +111,59 @@ def test_analytic_branch_continues_past_principal_cut():
     xs = qho_analytic_position(2.0, ts)
     assert np.max(np.abs(np.diff(xs))) < 0.02  # continuous track
     assert xs[-1] == pytest.approx(-2.0)  # one winding of u flips the sign of x
+
+
+@pytest.mark.parametrize("eps", [5e-5, 1e-4, 2e-4])
+def test_analytic_branch_after_a_close_pass_matches_rkf45(eps):
+    # u = x**2 winds round the origin and passes it at |c| - L = eps, near
+    # t = pi/2; a reference that follows a chord across the pass flips the
+    # sign of x, here to about +1.40363 - 0.09954i
+    x0 = math.sqrt(2.0 + eps)
+    config = IntegratorConfig(t_end=3.0, scheme="rkf45", abs_tol=1e-12, rel_tol=1e-12)
+    x = evolve(FIELD, POT, x0, config).x[-1]
+    assert x.real < -1.4
+    assert abs(qho_analytic_position(x0, 3.0) - x) < 1e-9
+
+
+def test_analytic_branch_ambiguity_between_time_samples():
+    # |u| reaches its least value, 5e-13 < node_guard**2, only at
+    # 2 t = pi, which no sample of a time grid need hit
+    with pytest.raises(BranchAmbiguity):
+        qho_analytic_position(math.sqrt(2.0 + 5e-13), 3.0)
+
+
+def test_analytic_branch_at_negative_times():
+    # from sqrt(2), u = 1 + exp(2 i t) reaches 0 at t = +-pi/2 and not before
+    for t in (1.5, -1.5):
+        x = qho_analytic_position(math.sqrt(2.0), t)
+        assert x == pytest.approx(cmath.sqrt(1.0 + cmath.exp(2j * t)))
+    for t in (math.pi / 2.0, -math.pi / 2.0, [-math.pi / 2.0, 0.5]):
+        with pytest.raises(BranchAmbiguity):
+            qho_analytic_position(math.sqrt(2.0), t)
+    # a real start runs back along the mirror image of its forward track,
+    # past a close pass too
+    x0 = math.sqrt(2.0 + 1e-4)
+    backward = qho_analytic_position(x0, -3.0)
+    assert backward.real < -1.4
+    assert backward == pytest.approx(qho_analytic_position(x0, 3.0).conjugate(), abs=1e-14)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.sampled_from([NATURAL_UNITS, UnitSystem(hbar=0.7, mass=1.9, omega=2.3)]),
+       st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-5.0, 5.0))
+def test_analytic_position_follows_the_level_one_flow(units, re, im, t):
+    # dx/dt = p(x)/m, by a central difference of step h.  A node guard of
+    # sqrt(L)/10 keeps |x| >= sqrt(L)/10 over the span, which bounds the
+    # difference's truncation error h**2 |x'''| / 6: the largest seen in
+    # 20 000 uniform draws was about 3e-7 of max(1, |dx/dt|)
+    h = 1e-5
+    guard = TolerancePolicy(node_guard=0.1 * math.sqrt(units.hbar / (units.mass * units.omega)))
+    try:
+        before, x, after = qho_analytic_position(complex(re, im), [t - h, t, t + h], units, guard)
+    except BranchAmbiguity:
+        assume(False)
+    velocity = qho_field(1, units).value(x) / units.mass
+    assert abs((after - before) / (2.0 * h) - velocity) <= 1e-6 * max(1.0, abs(velocity))
 
 
 # -- evolve -------------------------------------------------------------------------

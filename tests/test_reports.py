@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from momflow import (
     evolve,
     force_norm_invariant,
     harmonic_potential,
+    polynomial_potential,
     qho_field,
     solve_schrodinger_1d,
     spinning_pair_history,
@@ -289,6 +292,28 @@ def test_line_plot_drops_non_finite_samples(tmp_path, log_y):
         svgplot.line_plot(tmp_path / "c.svg", x[:3], [np.array([np.nan, np.inf, -np.inf])],
                           log_y=log_y)
     assert not (tmp_path / "c.svg").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the scan's mean energy overflows
+@pytest.mark.parametrize("slope", [1.7e308, sys.float_info.max])
+def test_a_series_wider_than_the_float_range_plots_finite_coordinates(tmp_path, slope):
+    # Re E = slope x - x**2/2 + 1/2 at level 0 runs from about -slope to
+    # slope, so the range max - min overflows to inf while every sample is
+    # finite; at the largest float the last tick's bound overflows too
+    report = energy_constancy_scan(qho_field(0), polynomial_potential([0, slope]),
+                                   (-1.0, 1.0), samples=50)
+    assert np.isfinite(report.energies).all()
+    path = svgplot.line_plot(tmp_path / "scan.svg", report.points,
+                             [report.energies.real, report.energies.imag])
+    svg = path.read_text()
+    assert not re.search(r"\b(nan|inf)\b", svg)
+    points = [float(v) for line in re.findall(r'points="([^"]*)"', svg)
+              for v in re.split(r"[ ,]", line)]
+    assert len(points) == 4 * 50
+    # the first Re E sample, the least, sits on the frame's bottom edge
+    assert points[:2] == [64.0, 392.0]
+    for tick in ("-1e+308", "0", "1e+308"):
+        assert f">{tick}</text>" in svg
 
 
 def test_histogram_plot_with_overlay(tmp_path):
