@@ -303,8 +303,7 @@ def _hermite_roots(n):
     return 0.5 * (roots - roots[::-1])
 
 
-def qho_field(level: int, units: UnitSystem = NATURAL_UNITS,
-              tolerance: TolerancePolicy = DEFAULT_TOLERANCE) -> MomentumField:
+def qho_field(level: int, units: UnitSystem = NATURAL_UNITS) -> MomentumField:
     """Closed-form momentum field of the 1-D oscillator eigenstate ``level``.
 
     With a = m*omega/hbar and psi_n = H_n(sqrt(a) x) exp(-a x**2 / 2),
@@ -404,13 +403,11 @@ def qho_field(level: int, units: UnitSystem = NATURAL_UNITS,
     poles = tuple((0, root / sqrt_a) for root in _hermite_roots(level))
     return MomentumField(1, value, jacobian_fn=partial(jet, order=1),
                          laplacian_fn=partial(jet, order=2),
-                         derivative_kind="closed-form", poles=poles,
-                         holomorphic=True, tolerance=tolerance)
+                         derivative_kind="closed-form", poles=poles, holomorphic=True)
 
 
 def field_from_wavefunction(psi, nodes=(), units: UnitSystem = NATURAL_UNITS,
-                            dimension: int = 1,
-                            tolerance: TolerancePolicy = DEFAULT_TOLERANCE) -> MomentumField:
+                            dimension: int = 1) -> MomentumField:
     """Momentum field p = -i*hbar*grad(psi)/psi from a wavefunction callable.
 
     For dimension 1 ``psi`` receives a 1-D complex array of positions; for
@@ -428,16 +425,16 @@ def field_from_wavefunction(psi, nodes=(), units: UnitSystem = NATURAL_UNITS,
         return -1j * hbar * (_richardson_gradient(psi_at, pts) / psi_at(pts)[:, None])
 
     poles = [(0, node) if np.isscalar(node) else node for node in nodes]
-    return MomentumField(dimension, value, poles=poles,
-                         holomorphic=False, tolerance=tolerance)
+    return MomentumField(dimension, value, poles=poles, holomorphic=False)
 
 
-def product_field(factors, tolerance: TolerancePolicy | None = None) -> MomentumField:
+def product_field(factors) -> MomentumField:
     """Separable field built from independent 1-D fields, one per axis.
 
     Component k of the product depends only on coordinate k, so the
     Jacobian is diagonal and the curl vanishes identically.  Its jets
-    stack the factors' ``_jet``s under the product's one errstate.
+    stack the factors' ``_jet``s under the product's one errstate.  The
+    product takes the first factor's tolerance policy.
     """
     factors = list(factors)
     d = len(factors)
@@ -445,7 +442,6 @@ def product_field(factors, tolerance: TolerancePolicy | None = None) -> Momentum
         raise ValueError("product fields need 2 or 3 one-dimensional factors")
     if any(f.dimension != 1 for f in factors):
         raise ValueError("every factor must be one-dimensional")
-    tol = tolerance or factors[0].tolerance
 
     def value(pts):  # the factors' own value functions: the caller holds the errstate
         cols = [np.asarray(f._value_fn(pts[:, k].reshape(-1, 1)), dtype=complex)[:, 0]
@@ -469,7 +465,7 @@ def product_field(factors, tolerance: TolerancePolicy | None = None) -> Momentum
                          laplacian_fn=partial(jet, order=2),
                          derivative_kind="closed-form" if closed else "numeric-central-difference",
                          poles=poles, holomorphic=all(f.holomorphic for f in factors),
-                         tolerance=tol)
+                         tolerance=factors[0].tolerance)
 
 
 # -- potentials ----------------------------------------------------------------
@@ -547,14 +543,14 @@ def _check_potential(field, potential):
                          f"{potential.dimension}-D potential, {field.dimension}-D field")
 
 
-def _energy(field, potential, pts, units, divergence_scale=1.0):
+def _energy(field, potential, pts, units):
     """``energy_at`` on (n, d) points, without the pole and axis check, and the
     (n, d) momenta it was computed from: ``(p, E)``."""
     _check_potential(field, potential)
     p, jac = field._jacobian_at(pts, check=False)
     div = np.trace(jac, axis1=1, axis2=2)
     del jac  # (n, d, d): freed before the potential's temporaries are made
-    div *= -1j * (divergence_scale * units.hbar / (2.0 * units.mass))
+    div *= -1j * (units.hbar / (2.0 * units.mass))
     energy = p[:, 0] * p[:, 0]
     for k in range(1, field.dimension):
         energy += p[:, k] * p[:, k]
@@ -565,20 +561,17 @@ def _energy(field, potential, pts, units, divergence_scale=1.0):
 
 
 def energy_at(field: MomentumField, potential: PotentialField, r,
-              units: UnitSystem = NATURAL_UNITS, divergence_scale: float = 1.0):
+              units: UnitSystem = NATURAL_UNITS):
     """Complex energy E = p.p/(2m) + U - i*(hbar/2m) div p at ``r``.
 
     ``p.p`` is the unconjugated dot product: the square of the eigenvalue,
-    not |p|**2.  No real projection is applied.  ``divergence_scale``
-    multiplies hbar in the divergence term only; setting it to 0 recovers
-    the classical p.p/(2m) + U exactly (correspondence-principle toggle).
-    The field's pole and real-axis check runs first; the result has the
-    shape of ``r`` without its component axis, and a single position gives
-    a Python complex.
+    not |p|**2.  No real projection is applied.  The field's pole and
+    real-axis check runs first; the result has the shape of ``r`` without
+    its component axis, and a single position gives a Python complex.
     """
     pts, restore = _as_points(r, field.dimension)
     field._check(pts)
-    return restore(_energy(field, potential, pts, units, divergence_scale)[1])
+    return restore(_energy(field, potential, pts, units)[1])
 
 
 def _axis_samples(field, region, samples, minimum):
@@ -619,8 +612,7 @@ class ScanReport:
 
 def energy_constancy_scan(field: MomentumField, potential: PotentialField, region,
                           samples: int = 1000, tol: float = 1e-9,
-                          units: UnitSystem = NATURAL_UNITS,
-                          divergence_scale: float = 1.0) -> ScanReport:
+                          units: UnitSystem = NATURAL_UNITS) -> ScanReport:
     """Scan E over ``region`` and report the worst deviation from the mean.
 
     Spatial constancy of the full complex E is the eigenstate signature;
@@ -633,7 +625,7 @@ def energy_constancy_scan(field: MomentumField, potential: PotentialField, regio
         raise ValueError("energy scans are defined for one-dimensional fields")
     xs, pts, keep = _axis_samples(field, region, samples, 2)
     xs, pts = xs[keep], pts[keep]
-    momenta, energies = _energy(field, potential, pts, units, divergence_scale)
+    momenta, energies = _energy(field, potential, pts, units)
     mean = complex(energies.mean())
     deviations = np.abs(energies - mean)
     worst = int(np.argmax(deviations))
@@ -665,13 +657,14 @@ class WavefunctionSamples:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_SEGMENT_REL_TOL, _SEGMENT_MAX_PANELS = 1e-12, 1 << 12
 
 
-def _segment_integral(field, a, b, rel_tol=1e-12, max_panels=1 << 12):
+def _segment_integral(field, a, b):
     """Gauss-Legendre line integral of p . dr along the straight segment a->b.
 
     Order-8 panels, doubling the panel count until two successive
-    estimates agree to ``rel_tol`` (relative).
+    estimates agree to _SEGMENT_REL_TOL (relative).
     """
     delta = b - a
 
@@ -688,14 +681,15 @@ def _segment_integral(field, a, b, rel_tol=1e-12, max_panels=1 << 12):
 
     panels = 1
     prev = estimate(panels)
-    while panels < max_panels:
+    while panels < _SEGMENT_MAX_PANELS:
         panels *= 2
         cur = estimate(panels)
-        if abs(cur - prev) <= rel_tol * max(1.0, abs(cur)):
+        if abs(cur - prev) <= _SEGMENT_REL_TOL * max(1.0, abs(cur)):
             return cur
         prev = cur
     raise ConvergenceFailure(
-        f"segment quadrature did not reach rel_tol={rel_tol:g} within {max_panels} panels")
+        f"segment quadrature did not reach rel_tol={_SEGMENT_REL_TOL:g} "
+        f"within {_SEGMENT_MAX_PANELS} panels")
 
 
 def _segment_pole_distance(a, b, axis, loc):

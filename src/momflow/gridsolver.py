@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from . import _EXPORTS
-from .core import DEFAULT_TOLERANCE, NATURAL_UNITS, TolerancePolicy, UnitSystem
+from .core import NATURAL_UNITS, UnitSystem
 from .errors import ConvergenceFailure
 from .fields import MomentumField, PotentialField
 
@@ -322,8 +322,8 @@ def _local_cubic(xs, values):
     return interp
 
 
-def field_from_grid(pair: EigenPair, grid: Grid1D, units: UnitSystem = NATURAL_UNITS,
-                    tolerance: TolerancePolicy = DEFAULT_TOLERANCE) -> MomentumField:
+def field_from_grid(pair: EigenPair, grid: Grid1D,
+                    units: UnitSystem = NATURAL_UNITS) -> MomentumField:
     """Momentum field p = -i*hbar*psi'/psi from a grid eigenpair.
 
     Derivatives of psi come from central differences on the grid; p and
@@ -376,5 +376,5 @@ def field_from_grid(pair: EigenPair, grid: Grid1D, units: UnitSystem = NATURAL_U
     return MomentumField(1, value, jacobian_fn=partial(jet, order=1),
                          laplacian_fn=partial(jet, order=2),
                          derivative_kind="numeric-central-difference",
-                         poles=poles, holomorphic=False, tolerance=tolerance,
+                         poles=poles, holomorphic=False,
                          pole_margin=5.0 * h)

@@ -8,6 +8,7 @@ files.
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -55,21 +56,29 @@ def _nice_ticks(lo: float, hi: float, target: int = 5):
 
 def _log_ticks(lo: float, hi: float):
     lo_exp = math.floor(math.log10(lo))
-    hi_exp = math.ceil(math.log10(hi))
+    hi_exp = min(math.ceil(math.log10(hi)), 308)  # 10.0 ** 309 overflows
     return [10.0 ** e for e in range(lo_exp, hi_exp + 1)]
+
+
+def _span(lo: float, hi: float, log=False):
+    """(lo, hi), an empty range at v widened inside the floats: a decade either side
+    on a log axis, which has no room below 0, else by the larger of 0.5 and 4 ulp
+    of v, so that ticks step past v's rounding."""
+    if hi > lo:
+        return lo, hi
+    if log:
+        return max(lo / 10.0, math.ulp(0.0)), min(hi * 10.0, sys.float_info.max)
+    pad = max(0.5, 4.0 * math.ulp(lo))
+    return max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
 
 
 class _Frame:
     """Maps data coordinates to the pixel viewport."""
 
     def __init__(self, x_lo, x_hi, y_lo, y_hi, log_y=False):
-        if x_hi <= x_lo:
-            x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-        if y_hi <= y_lo:  # a decade either side on a log axis, which has no room below 0
-            y_lo, y_hi = (y_lo / 10.0, y_hi * 10.0) if log_y else (y_lo - 0.5, y_hi + 0.5)
-        # python floats, whose hi - lo overflows to inf without a numpy warning
-        self.x_lo, self.x_hi = float(x_lo), float(x_hi)
-        self.y_lo, self.y_hi = float(y_lo), float(y_hi)
+        # python floats, whose arithmetic overflows to inf without a numpy warning
+        self.x_lo, self.x_hi = _span(float(x_lo), float(x_hi))
+        self.y_lo, self.y_hi = _span(float(y_lo), float(y_hi), log_y)
         self.log_y = log_y
 
     def px(self, x):

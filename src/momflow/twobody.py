@@ -20,20 +20,21 @@ the component-product condition that makes delta_e vanish, and the
 rotation-matrix momentum components that cancel delta_e pairwise — the
 extra degree of freedom identified with spin.
 
-Derivatives of sampled histories use five-point stencils (central in
-the interior, one-sided at the edges); histories built from closed-form
-sources carry exact derivative samples instead.
+A history keeps the derivative samples its source gave; any other
+derivative is a five-point stencil estimate (central in the interior,
+one-sided at the edges).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 
 from . import _EXPORTS
-from .core import DEFAULT_TOLERANCE, NATURAL_UNITS, TolerancePolicy, UnitSystem
+from .core import DEFAULT_TOLERANCE, NATURAL_UNITS, UnitSystem
 from .errors import (
     ComponentNearZero,
     NonuniformSampling,
@@ -96,16 +97,25 @@ def _as_components(p, n):
     return arr
 
 
+def _stencil(name, order):
+    """The derivative of ``name`` of that order: a stencil estimate, made when first read."""
+    return cached_property(lambda self: stencil_derivative(getattr(self, name), self.dt, order))
+
+
 class MomentumHistory:
     """Paired momentum samples p1(t), p2(t) on a uniform time grid.
 
-    Optional closed-form derivative samples (dp*, ddp*) take precedence
-    over the stencil estimates whenever the history source can provide
-    them.
+    ``dp1``, ``dp2`` (first derivatives) and ``ddp1``, ``ddp2`` (second)
+    are the samples the source gave, kept as given.  One it did not give
+    is the ``stencil_derivative`` of p1 or p2, computed the first time it
+    is read and then kept.  ``closed_form`` is True exactly when ``dp1``
+    and ``dp2`` were given, and so no first derivative is an estimate.
     """
 
-    def __init__(self, times, p1, p2, *, dp1=None, dp2=None, ddp1=None, ddp2=None,
-                 tolerance: TolerancePolicy = DEFAULT_TOLERANCE):
+    dp1, dp2 = _stencil("p1", 1), _stencil("p2", 1)
+    ddp1, ddp2 = _stencil("p1", 2), _stencil("p2", 2)
+
+    def __init__(self, times, p1, p2, *, dp1=None, dp2=None, ddp1=None, ddp2=None):
         self.times = np.asarray(times, dtype=float)
         n = self.times.shape[0]
         if n < 5:
@@ -118,34 +128,10 @@ class MomentumHistory:
         self.p2 = _as_components(p2, n)
         if self.p1.shape != self.p2.shape:
             raise ValueError("p1 and p2 must have matching shapes")
-        self._derivs = {}
+        self.closed_form = dp1 is not None and dp2 is not None
         for key, data in (("dp1", dp1), ("dp2", dp2), ("ddp1", ddp1), ("ddp2", ddp2)):
-            if data is not None:
-                self._derivs[key] = _as_components(data, n)
-        self.tolerance = tolerance
-
-    @property
-    def dimension(self):
-        return self.p1.shape[1]
-
-    def __len__(self):
-        return self.times.shape[0]
-
-    def first_derivative(self, which: int) -> np.ndarray:
-        key = f"dp{which}"
-        if key not in self._derivs:
-            self._derivs[key] = stencil_derivative(getattr(self, f"p{which}"), self.dt, 1)
-        return self._derivs[key]
-
-    def second_derivative(self, which: int) -> np.ndarray:
-        key = f"ddp{which}"
-        if key not in self._derivs:
-            self._derivs[key] = stencil_derivative(getattr(self, f"p{which}"), self.dt, 2)
-        return self._derivs[key]
-
-    @property
-    def has_closed_form_derivatives(self) -> bool:
-        return "dp1" in self._derivs and "dp2" in self._derivs
+            if data is not None:  # shadows the stencil estimate
+                setattr(self, key, _as_components(data, n))
 
 
 @dataclass
@@ -216,10 +202,10 @@ def spinning_pair(params: SpinningPairParams, t):
     return p1, p2
 
 
-def spinning_pair_history(params: SpinningPairParams, t0: float = 0.0, dt: float = 1e-3,
-                          samples: int = 1000, closed_form_derivatives: bool = True) -> MomentumHistory:
-    """Sample the spinning pair, optionally with exact derivative samples."""
-    ts = t0 + dt * np.arange(samples)
+def spinning_pair_history(params: SpinningPairParams, dt: float = 1e-3, samples: int = 1000,
+                          closed_form_derivatives: bool = True) -> MomentumHistory:
+    """Sample the spinning pair from t = 0, optionally with exact derivative samples."""
+    ts = dt * np.arange(samples)
     p1, p2 = spinning_pair(params, ts)
     kwargs = {}
     if closed_form_derivatives:
@@ -250,11 +236,9 @@ def force_norm_invariant(history: MomentumHistory) -> InvariantSeries:
     not for every closed pair.  The trivial uncorrelated case is the
     constant 0.
     """
-    d1 = history.first_derivative(1)
-    d2 = history.first_derivative(2)
-    values = (np.abs(d1) ** 2).sum(axis=1) + (np.abs(d2) ** 2).sum(axis=1)
+    values = (np.abs(history.dp1) ** 2).sum(axis=1) + (np.abs(history.dp2) ** 2).sum(axis=1)
     return InvariantSeries(history.times, values, label="force-norm invariant",
-                           metadata={"closed_form": history.has_closed_form_derivatives})
+                           metadata={"closed_form": history.closed_form})
 
 
 def coupled_acceleration_residual(history: MomentumHistory, component: int) -> InvariantSeries:
@@ -268,9 +252,7 @@ def coupled_acceleration_residual(history: MomentumHistory, component: int) -> I
     k = int(component)
     p1k = history.p1[:, k]
     p2k = history.p2[:, k]
-    a1 = history.second_derivative(1)[:, k]
-    a2 = history.second_derivative(2)[:, k]
-    values = p2k * p2k * a1 + p1k * p1k * a2
+    values = p2k * p2k * history.ddp1[:, k] + p1k * p1k * history.ddp2[:, k]
     return InvariantSeries(history.times, values,
                            label=f"coupled-acceleration residual [{k}]")
 
@@ -292,17 +274,13 @@ class BoundEnergy:
     split_part: complex
 
 
-def bound_energy(p1, p2, div1, div2, u12, units: UnitSystem = NATURAL_UNITS,
-                 divergence_scale: float = 1.0) -> BoundEnergy:
+def bound_energy(p1, p2, div1, div2, u12, units: UnitSystem = NATURAL_UNITS) -> BoundEnergy:
     """Energy of a bound pair from momenta, divergences, and U12:
 
-        E = -(p1.p1 + p2.p2)/(2m) + U12
-            + (hbar/2m) (div1 + div2) * divergence_scale
+        E = -(p1.p1 + p2.p2)/(2m) + U12 + (hbar/2m) (div1 + div2)
 
     Bound-state momenta are purely imaginary (kinetic energy below the
-    confining potential); a warning is emitted otherwise.  Setting
-    ``divergence_scale`` to 0 drops the quantum term, leaving the
-    classical bound energy.
+    confining potential); a warning is emitted otherwise.
     """
     p1 = np.atleast_1d(np.asarray(p1, dtype=complex))
     p2 = np.atleast_1d(np.asarray(p2, dtype=complex))
@@ -312,9 +290,15 @@ def bound_energy(p1, p2, div1, div2, u12, units: UnitSystem = NATURAL_UNITS,
                           "energy form assumes imaginary momenta", stacklevel=2)
     kinetic = -(np.sum(p1 * p1) + np.sum(p2 * p2)) / (2.0 * units.mass)
     pair_part = complex(kinetic + u12)
-    split = complex(divergence_scale * units.hbar / (2.0 * units.mass)
-                    * (np.sum(div1) + np.sum(div2)))
+    split = complex(units.hbar / (2.0 * units.mass) * (np.sum(div1) + np.sum(div2)))
     return BoundEnergy(total=pair_part + split, pair_part=pair_part, split_part=split)
+
+
+def _check_nodes(history):
+    """ComponentNearZero if a p1 or p2 component passes within node_guard of zero."""
+    for which in (1, 2):
+        if np.min(np.abs(getattr(history, f"p{which}"))) < DEFAULT_TOLERANCE.node_guard:
+            raise ComponentNearZero(f"a p{which} component passes within node_guard of zero")
 
 
 def delta_e(history: MomentumHistory, units: UnitSystem = NATURAL_UNITS) -> InvariantSeries:
@@ -327,19 +311,12 @@ def delta_e(history: MomentumHistory, units: UnitSystem = NATURAL_UNITS) -> Inva
     Components passing within node_guard of zero make the 1/p terms
     meaningless and raise ComponentNearZero.
     """
-    guard = history.tolerance.node_guard
-    for which in (1, 2):
-        p = getattr(history, f"p{which}")
-        if np.min(np.abs(p)) < guard:
-            raise ComponentNearZero(
-                f"a p{which} component passes within node_guard of zero")
-    d1 = history.first_derivative(1)
-    d2 = history.first_derivative(2)
-    values = 0.5 * units.hbar * (d1 / history.p1 + d2 / history.p2).sum(axis=1)
+    _check_nodes(history)
+    values = 0.5 * units.hbar * (history.dp1 / history.p1 + history.dp2 / history.p2).sum(axis=1)
     return InvariantSeries(history.times, values, label="delta_e")
 
 
-def component_product(history: MomentumHistory, imag_tol: float = 1e-9) -> InvariantSeries:
+def component_product(history: MomentumHistory) -> InvariantSeries:
     """Running product prod_k p1k(t) * p2k(t) over all components.
 
     Constancy of this product is equivalent to delta_e = 0.  When the
@@ -347,12 +324,10 @@ def component_product(history: MomentumHistory, imag_tol: float = 1e-9) -> Invar
     check result lands in ``metadata['positive']`` (None when the
     product is genuinely complex).
     """
-    guard = history.tolerance.node_guard
-    if min(np.min(np.abs(history.p1)), np.min(np.abs(history.p2))) < guard:
-        raise ComponentNearZero("a momentum component passes within node_guard of zero")
+    _check_nodes(history)
     values = np.prod(history.p1, axis=1) * np.prod(history.p2, axis=1)
     positive = None
-    if np.max(np.abs(values.imag)) <= imag_tol * max(1.0, np.max(np.abs(values))):
+    if np.max(np.abs(values.imag)) <= 1e-9 * max(1.0, np.max(np.abs(values))):
         positive = bool(np.min(values.real) > 0.0)
     return InvariantSeries(history.times, values, label="component product",
                            metadata={"positive": positive})

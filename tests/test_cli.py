@@ -139,6 +139,19 @@ def test_twobody_spinning_reports_invariant(tmp_path):
     assert (out / "force_norm.csv").exists()
 
 
+@pytest.mark.parametrize("closed_form", [True, False])
+def test_twobody_records_whether_its_derivatives_are_closed_form(tmp_path, closed_form):
+    out = tmp_path / "run"
+    path = write_config(tmp_path, {
+        "scenario": "twobody",
+        "out_dir": str(out),
+        "twobody": {"kind": "spinning", "samples": 200, "closed_form_derivatives": closed_form},
+    })
+    assert main(["twobody", "--config", str(path)]) == 0
+    invariants = json.loads((out / "invariants.json").read_text())
+    assert invariants["force_norm"]["metadata"]["closed_form"] is closed_form
+
+
 def test_field_scan_mismatch_exits_two(tmp_path):
     out = tmp_path / "run"
     path = write_config(tmp_path, {

@@ -433,15 +433,6 @@ def test_free_particle_energy_is_classical():
     assert e == pytest.approx(units.hbar ** 2 * k ** 2 / (2 * units.mass), abs=1e-7)
 
 
-def test_divergence_scale_zero_recovers_classical_energy():
-    field = qho_field(1)
-    pot = harmonic_potential()
-    x = 1.7
-    classical = energy_at(field, pot, x, divergence_scale=0.0)
-    p = field.value(x)
-    assert classical == p * p / 2.0 + pot.value(x)
-
-
 def test_energy_scan_passes_for_matching_potential():
     report = energy_constancy_scan(qho_field(1), harmonic_potential(),
                                    (0.1, 5.0), samples=1000, tol=1e-9)

@@ -5,6 +5,7 @@ module already.
 """
 
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -42,6 +43,35 @@ EXPORTS = {
                 "matrix_delta_e", "rotation_matrix", "spinning_pair", "spinning_pair_history",
                 "stencil_derivative", "total_momentum_drift"],
 }
+
+# Every public parameter with a default, as ``name(param)``: a new option is
+# added here on purpose.
+OPTIONS = [
+    "DensityHistogram(born_reference)", "Distribution(mean)", "Distribution(sigma)",
+    "EnsembleSpec(first_stream)", "EnsembleSpec(snapshots)", "IntegratorConfig(abs_tol)",
+    "IntegratorConfig(dt)", "IntegratorConfig(dt_max)", "IntegratorConfig(dt_min)",
+    "IntegratorConfig(rel_tol)", "IntegratorConfig(scheme)", "InvariantSeries(label)",
+    "InvariantSeries(metadata)", "MomentumField(derivative_kind)", "MomentumField(holomorphic)",
+    "MomentumField(jacobian_fn)", "MomentumField(laplacian_fn)", "MomentumField(pole_margin)",
+    "MomentumField(poles)", "MomentumField(tolerance)", "MomentumHistory(ddp1)",
+    "MomentumHistory(ddp2)", "MomentumHistory(dp1)", "MomentumHistory(dp2)",
+    "PotentialField(dimension)", "RotationMomentum(orientation)", "SpinningPairParams(mass)",
+    "SpinningPairParams(p1_0)", "SpinningPairParams(p2_0)", "TolerancePolicy(node_guard)",
+    "Trajectory(metadata)", "Trajectory(step_sizes)", "UnitSystem(hbar)", "UnitSystem(mass)",
+    "UnitSystem(omega)", "bound_energy(units)", "classify_fixed_points(momentum_tol)",
+    "classify_fixed_points(samples)", "classify_fixed_points(units)",
+    "constant_potential(dimension)", "delta_e(units)", "energy_at(units)",
+    "energy_constancy_scan(samples)", "energy_constancy_scan(tol)",
+    "energy_constancy_scan(units)", "evolve(units)", "evolve_ensemble(record_energy)",
+    "evolve_ensemble(units)", "field_from_grid(units)", "field_from_wavefunction(dimension)",
+    "field_from_wavefunction(nodes)", "field_from_wavefunction(units)", "force_at(units)",
+    "harmonic_potential(units)", "matrix_delta_e(units)", "qho_analytic_position(tolerance)",
+    "qho_analytic_position(units)", "qho_field(units)", "reconstruct_wavefunction(amplitude)",
+    "reconstruct_wavefunction(units)", "sample_initial(poles)", "sample_initial(tolerance)",
+    "solve_schrodinger_1d(units)", "spinning_pair_history(closed_form_derivatives)",
+    "spinning_pair_history(dt)", "spinning_pair_history(samples)", "stationarity_residual(units)",
+    "stencil_derivative(order)", "zero_potential(dimension)",
+]
 
 # A CLI process runs ``cli`` as __main__ on top of these ...
 CLI_BASE = {"momflow", "momflow.core", "momflow.errors", "momflow.reports"}
@@ -121,3 +151,21 @@ def test_a_submodule_exports_what_the_package_does(module):
     names = importlib.import_module(f"momflow.{module}").__all__
     assert len(set(names)) == len(names)
     assert sorted(names) == sorted(momflow._EXPORTS[module])
+
+
+def test_the_public_options_are_the_listed_ones():
+    # each callable, class constructor and public method defined in a class body
+    found = []
+    for name in momflow.__all__:
+        obj = getattr(momflow, name)
+        if not callable(obj) or isinstance(obj, type) and issubclass(obj, BaseException):
+            continue
+        targets = [(name, obj)]
+        if isinstance(obj, type):
+            targets += [(f"{name}.{attr}", value) for attr, value in vars(obj).items()
+                        if not attr.startswith("_") and inspect.isfunction(value)]
+        found += [f"{label}({param.name})" for label, fn in targets
+                  for param in inspect.signature(fn).parameters.values()
+                  if param.default is not inspect.Parameter.empty]
+    assert sorted(found) == OPTIONS
+    assert len(OPTIONS) == 69

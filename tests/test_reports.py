@@ -316,6 +316,44 @@ def test_a_series_wider_than_the_float_range_plots_finite_coordinates(tmp_path, 
         assert f">{tick}</text>" in svg
 
 
+def _plotted_points(svg):
+    assert not re.search(r"\b(nan|inf)\b", svg)
+    return [float(v) for line in re.findall(r'points="([^"]*)"', svg)
+            for v in re.split(r"[ ,]", line)]
+
+
+@pytest.mark.parametrize("x, y", [
+    (np.linspace(0.0, 1.0, 5), 1e17),  # y - 0.5 and y + 0.5 round to y
+    (np.full(5, 3e16), 1e17),  # and x the same, from a single x value
+])
+def test_a_huge_constant_series_plots_mid_frame(tmp_path, x, y):
+    svg = svgplot.line_plot(tmp_path / "a.svg", x, [np.full(5, y)]).read_text()
+    points = _plotted_points(svg)
+    assert points[1::2] == [214.0] * 5  # halfway between the frame's rows 392 and 36
+    if np.ptp(x) == 0:
+        assert points[::2] == [344.0] * 5  # halfway between its columns 64 and 624
+
+
+def test_a_constant_series_near_the_float_limit_plots_on_a_log_axis(tmp_path):
+    # a decade above 1e308 overflows
+    svg = svgplot.line_plot(tmp_path / "a.svg", range(5), [np.full(5, 1e308)],
+                            log_y=True).read_text()
+    points = _plotted_points(svg)
+    assert len(points) == 10 and all(36.0 <= y <= 392.0 for y in points[1::2])
+    assert ">1e+308</text>" in svg
+
+
+@pytest.mark.parametrize("v", [0.0, 2.5, -7e3, 1e15, 2.0 ** 51 - 0.25, 3e15, -1e17,
+                               1e300, sys.float_info.max, -sys.float_info.max])
+def test_an_empty_range_widens_so_that_its_ticks_step(v):
+    lo, hi = svgplot._span(v, v)
+    assert -sys.float_info.max <= lo < hi <= sys.float_info.max and lo <= v <= hi
+    if abs(v) < 2.0 ** 50:  # v -/+ 0.5 as before, where that is exact
+        assert (lo, hi) == (v - 0.5, v + 0.5)
+    ticks = svgplot._nice_ticks(lo, hi)  # a tick step below v's rounding never ends
+    assert len(ticks) >= 2 and all(a < b for a, b in zip(ticks, ticks[1:]))
+
+
 def test_histogram_plot_with_overlay(tmp_path):
     edges = np.linspace(0.0, 1.0, 11)
     counts = np.arange(10)

@@ -87,10 +87,58 @@ def test_stencil_matches_closed_form_on_spinning_pair():
         numeric = spinning_pair_history(PAIR, dt=dt, samples=200,
                                         closed_form_derivatives=False)
         exact = spinning_pair_history(PAIR, dt=dt, samples=200)
-        return np.abs(numeric.first_derivative(1) - exact.first_derivative(1)).max()
+        return np.abs(numeric.dp1 - exact.dp1).max()
 
     exponent = math.log(err(2e-3) / err(1e-3)) / math.log(2.0)
     assert 3.6 <= exponent <= 4.4
+
+
+# offset so that no momentum component comes near zero, which delta_e refuses
+OFFSET_PAIR = SpinningPairParams(radius=1.0, gamma=2.0, p1_0=(5.0, 5.0), p2_0=(-5.0, 5.0))
+
+
+def test_a_stencil_history_reports_no_closed_form():
+    history = spinning_pair_history(PAIR, samples=200, closed_form_derivatives=False)
+    assert history.closed_form is False
+    assert force_norm_invariant(history).metadata["closed_form"] is False
+
+
+def test_reading_stencil_derivatives_leaves_closed_form_false():
+    history = spinning_pair_history(OFFSET_PAIR, samples=200, closed_form_derivatives=False)
+    delta_e(history)
+    assert force_norm_invariant(history).metadata["closed_form"] is False
+
+
+def test_closed_form_needs_both_first_derivatives():
+    ts = 1e-3 * np.arange(50)
+    p1, p2 = spinning_pair(PAIR, ts)
+    exact = spinning_pair_history(PAIR, samples=50)
+    assert exact.closed_form is True
+    assert force_norm_invariant(exact).metadata["closed_form"] is True
+    assert MomentumHistory(ts, p1, p2, dp1=exact.dp1).closed_form is False
+    assert MomentumHistory(ts, p1, p2, dp2=exact.dp2, ddp1=exact.ddp1).closed_form is False
+
+
+def test_given_derivative_samples_are_kept_bit_for_bit():
+    ts = 1e-3 * np.arange(50)
+    p1, p2 = spinning_pair(PAIR, ts)
+    given = {key: np.exp(1j * (k + 1) * ts)[:, None]
+             for k, key in enumerate(("dp1", "dp2", "ddp1", "ddp2"))}
+    history = MomentumHistory(ts, p1, p2, **given)
+    for key, data in given.items():
+        assert np.array_equal(getattr(history, key), data), key
+
+
+def test_stencil_derivatives_are_the_stencil_bit_for_bit():
+    ts = 1e-3 * np.arange(200)
+    p1, p2 = spinning_pair(OFFSET_PAIR, ts)
+    history = MomentumHistory(ts, p1, p2)
+    for which, p in ((1, p1), (2, p2)):
+        for order, prefix in ((1, "dp"), (2, "ddp")):
+            expected = stencil_derivative(p, history.dt, order)
+            assert np.array_equal(getattr(history, f"{prefix}{which}"), expected)
+    # a second read returns the kept array
+    assert history.dp1 is history.dp1
 
 
 # -- spinning pair ----------------------------------------------------------------
@@ -191,12 +239,11 @@ def test_bound_energy_of_nothing_is_zero():
     assert bound_energy(0j, 0j, 0.0, 0.0, 0.0).total == 0.0
 
 
-def test_bound_energy_classical_toggle_drops_split_term():
-    full = bound_energy(1j, 2j, 0.3j, -0.1j, 1.0)
-    classical = bound_energy(1j, 2j, 0.3j, -0.1j, 1.0, divergence_scale=0.0)
-    assert classical.split_part == 0.0
-    assert classical.total == full.pair_part
-    assert full.total == full.pair_part + full.split_part
+def test_bound_energy_split_part_carries_the_divergences():
+    result = bound_energy(1j, 2j, 0.3j, -0.1j, 1.0)
+    assert result.pair_part == pytest.approx(3.5)
+    assert result.split_part == pytest.approx(0.1j)
+    assert result.total == result.pair_part + result.split_part
 
 
 def test_bound_energy_warns_on_real_momenta():
@@ -216,7 +263,7 @@ def test_delta_e_of_single_phase_is_constant():
     beta = 2.0
     history = phase_pair_history([1.5], [1.0], beta)
     # each electron contributes (hbar/2) * (+/- i beta); here they cancel
-    d1 = history.first_derivative(1)[:, 0] / history.p1[:, 0]
+    d1 = history.dp1[:, 0] / history.p1[:, 0]
     assert np.allclose(d1, 1j * beta, atol=1e-10)
     series = delta_e(history)
     assert series.max_abs < 1e-10
